@@ -38,6 +38,13 @@ class TransferError(Exception):
     """A single remote copy failed; carries the adapter's error message."""
 
 
+def describe_error(exc: BaseException) -> str:
+    """``Type: message`` on one line, or the bare type name for an empty
+    message: how a failure raised through an adapter is reported."""
+    text = " ".join(str(exc).split())
+    return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
+
+
 @dataclass(frozen=True)
 class Invocation:
     """One completed external-command execution."""

@@ -2,12 +2,15 @@
 
 For token pushes, one worker thread per selected service drives the pipeline
 (resolve UID, acquire ticket, store vault tokens, fan-out push). Vault
-storing is serialized across all services by a single lock; pushes share a
-transfer-parallelism budget. A stage failure stops that service's later
-stages and never touches other services. Failures flow as ErrorEvents into
-one aggregator, which applies the notification threshold policy after all
-workers finish. Metrics and spans are emitted at the end and never fail the
-run.
+storing is serialized across all services by a single lock. Pushes run on
+one transfer pool per run, of ``transfer_parallelism`` workers; each
+service's pipeline thread schedules its own nodes' attempts and retries on
+it, so a run holds one thread per service, the pool's workers and the event
+consumer, whatever the number of nodes. A stage failure stops that
+service's later stages and never touches other services. Failures flow as
+ErrorEvents into one aggregator, which applies the notification threshold
+policy after all workers finish. Metrics and spans are emitted at the end and
+never fail the run.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .config import (ConfigError, GlobalConfig, ResolvedService, UnknownService,
                      resolve_service)
 from .credentials import StorerLock
 from .distribution import ParallelismBudget, PushOutcome
-from .interfaces import AdapterBundle
+from .interfaces import AdapterBundle, describe_error
 from .notifications import STAGES, ErrorEvent
 from .registry import RefreshReport
 from .statestore import Store, StoreError, open_store
@@ -108,15 +111,6 @@ def order_services(config: GlobalConfig, selection: Optional[Iterable[str]] = No
     return [name for name in names if name in wanted]
 
 
-def _one_line(message: str) -> str:
-    return " ".join(str(message).split())
-
-
-def _describe(exc: BaseException) -> str:
-    text = _one_line(str(exc))
-    return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
-
-
 def _run_service_pipeline(
     svc: ResolvedService,
     config: GlobalConfig,
@@ -133,13 +127,15 @@ def _run_service_pipeline(
     results: list[StageResult] = []
     outcomes: list[PushOutcome] = []
 
-    def record_failure(stage: str, started: float, message: str) -> None:
+    def record_failure(stage: str, started: float, message: str,
+                       nodes: tuple[Optional[str], ...] = (None,)) -> None:
         ended = clock.now()
         results.append(StageResult(svc.name, stage, False, started, ended, message))
         logger.error("stage failed service=%s stage=%s error=%s",
                      svc.name, stage, message)
-        events.emit(ErrorEvent(service=svc.name, stage=stage, message=message,
-                               occurred_at=ended))
+        for node in nodes:
+            events.emit(ErrorEvent(service=svc.name, stage=stage, node=node,
+                                   message=message, occurred_at=ended))
 
     def aborted(stage: str) -> bool:
         if cancel is None or not cancel.is_set():
@@ -161,7 +157,8 @@ def _run_service_pipeline(
             uid = registry.fetch_uid(config.registry, deps.http, svc.account)
         except Exception as exc:
             record_failure("registry", started,
-                           f"uid for account {svc.account!r} unavailable: {_describe(exc)}")
+                           f"uid for account {svc.account!r} unavailable: "
+                           f"{describe_error(exc)}")
             return results, outcomes
         store.upsert_uid(svc.account, uid, clock.now())
         results.append(StageResult(svc.name, "registry", True, started, clock.now(),
@@ -173,7 +170,7 @@ def _run_service_pipeline(
     try:
         ticket = credentials.acquire_ticket(svc, deps.runner, clock)
     except Exception as exc:
-        record_failure("ticket", started, _describe(exc))
+        record_failure("ticket", started, describe_error(exc))
         return results, outcomes
     results.append(StageResult(svc.name, "ticket", True, started, clock.now(),
                                f"cache {ticket.cache_path}"))
@@ -185,7 +182,7 @@ def _run_service_pipeline(
         token = credentials.store_vault_tokens(
             svc, uid, ticket, deps.runner, storer_lock, clock)
     except Exception as exc:
-        record_failure("vault_store", started, _describe(exc))
+        record_failure("vault_store", started, describe_error(exc))
         return results, outcomes
     results.append(StageResult(svc.name, "vault_store", True, started, clock.now(),
                                f"staged at {token.path}"))
@@ -201,7 +198,9 @@ def _run_service_pipeline(
         svc_outcomes = distribution.push_all(
             svc, token, store, deps.transfer, budget, clock, rng=deps.rng)
     except Exception as exc:
-        record_failure("push", started, _describe(exc))
+        # Raised by the push as a whole (a bad staged token, say), not by
+        # one node: report it against every node of the service.
+        record_failure("push", started, describe_error(exc), nodes=svc.nodes)
         return results, outcomes
     outcomes.extend(svc_outcomes)
     ended = clock.now()
@@ -250,12 +249,11 @@ def run_token_push(
                 run_id, len(names), dry_run)
     events = EventStream()
     storer_lock = StorerLock()
-    budget = ParallelismBudget(config.transfer_parallelism)
     results_by_name: dict[str, list[StageResult]] = {name: [] for name in names}
     outcomes_by_name: dict[str, list[PushOutcome]] = {name: [] for name in names}
 
     try:
-        def worker(name: str) -> None:
+        def worker(name: str, budget: ParallelismBudget) -> None:
             try:
                 results, outcomes = _run_service_pipeline(
                     resolved[name], config, deps, store, events, storer_lock,
@@ -267,14 +265,16 @@ def run_token_push(
                 # reaching this means a bug in the pipeline plumbing itself.
                 logger.exception("pipeline crashed service=%s", name)
 
-        threads = [
-            threading.Thread(target=worker, args=(name,), name=f"pipeline-{name}")
-            for name in names
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        with ParallelismBudget(config.transfer_parallelism) as budget:
+            threads = [
+                threading.Thread(target=worker, args=(name, budget),
+                                 name=f"pipeline-{name}")
+                for name in names
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
 
         raw_events = events.close()
         sent = 0

@@ -253,3 +253,71 @@ class TestPushAll:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             ParallelismBudget(0)
+
+    def test_non_transfer_error_fails_only_that_node(self, site, staged_token):
+        nodes = ("ok1.example.org", "broken.example.org", "ok2.example.org")
+        svc = one_service(site, nodes=nodes)
+
+        class DiskFullOn:
+            def __init__(self, inner, node):
+                self.inner, self.node = inner, node
+
+            def put(self, local_path, node, remote_path, timeout=None):
+                if node == self.node:
+                    raise OSError("disk full")
+                self.inner.put(local_path, node, remote_path, timeout=timeout)
+
+        inner = simkit.memory_transfer()
+        with open_store(str(site.state_dir)) as store, ParallelismBudget(4) as budget:
+            outcomes = push_all(svc, staged_token, store,
+                                DiskFullOn(inner, "broken.example.org"), budget,
+                                simkit.FixedClock())
+            by_node = {o.node: o for o in outcomes}
+            broken = by_node["broken.example.org"]
+            assert not broken.success
+            assert broken.error == "OSError: disk full"
+            assert broken.attempts == 1  # not a TransferError: never retried
+            assert by_node["ok1.example.org"].success
+            assert by_node["ok2.example.org"].success
+            assert store.get_counter(svc.name,
+                                     "broken.example.org").consecutive_failures == 1
+            assert store.get_counter(svc.name,
+                                     "ok1.example.org").consecutive_failures == 0
+
+    def test_service_override_caps_its_in_flight_attempts(self, site, staged_token):
+        nodes = tuple(f"n{i}.example.org" for i in range(4))
+        svc = one_service(site, nodes=nodes, overrides={"transfer_parallelism": 1})
+        faults = {n: simkit.FaultSchedule("t", (simkit.delay(0.05), simkit.succeed()))
+                  for n in nodes}
+        transfer = simkit.memory_transfer(faults=faults)
+        with open_store(str(site.state_dir)) as store, ParallelismBudget(4) as budget:
+            begin = time.monotonic()
+            outcomes = push_all(svc, staged_token, store, transfer, budget,
+                                simkit.SystemClock())
+            serial = time.monotonic() - begin
+        assert all(o.success for o in outcomes)
+        assert transfer.high_water == 1
+        assert serial >= 0.2
+
+    def test_backoff_holds_no_transfer_slot(self, site, staged_token):
+        down = "down.example.org"
+        healthy = ("ok1.example.org", "ok2.example.org", "ok3.example.org")
+        svc = one_service(site, nodes=(down,) + healthy,
+                          overrides={"retry.base_backoff": "500ms",
+                                     "retry.max_attempts": 2})
+
+        class TopOfWindow(random.Random):
+            def uniform(self, a, b):
+                return b
+
+        faults = {down: simkit.FaultSchedule("t", (simkit.fail("unreachable"),))}
+        transfer = simkit.memory_transfer(faults=faults)
+        with open_store(str(site.state_dir)) as store, ParallelismBudget(1) as budget:
+            outcomes = push_all(svc, staged_token, store, transfer, budget,
+                                simkit.SystemClock(), rng=TopOfWindow())
+        assert [o.success for o in outcomes] == [False, True, True, True]
+        entries = transfer.log.entries()
+        retries = [e for e in entries if e.args[0] == down]
+        copies = [e for e in entries if e.args[0] != down]
+        assert len(retries) == 2 and len(copies) == 2 * len(healthy)
+        assert retries[1].start >= max(e.end for e in copies)

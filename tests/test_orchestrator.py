@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import os
+import sys
 import threading
 
 import pytest
 
-from managed_tokens import simkit
+from managed_tokens import credentials, simkit
 from managed_tokens.config import UnknownService
 from managed_tokens.notifications import ErrorEvent
 from managed_tokens.orchestrator import (
@@ -193,6 +194,31 @@ class TestFailureIsolation:
                                      "submit2.example.org").consecutive_failures == 1
             assert store.get_counter("dune_production",
                                      "submit1.example.org").consecutive_failures == 0
+
+    def test_invalid_staged_token_fails_push_before_any_put(self, site, monkeypatch):
+        site.add_service("dune_production")
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+        store_vault_tokens = credentials.store_vault_tokens
+
+        def world_readable(*args, **kwargs):
+            token = store_vault_tokens(*args, **kwargs)
+            os.chmod(token.path, 0o644)
+            return token
+
+        monkeypatch.setattr(credentials, "store_vault_tokens", world_readable)
+        bundle = make_bundle()
+        report = run_token_push(cfg, bundle)
+        push_result = report.per_service["dune_production"][-1]
+        assert push_result.stage == "push" and not push_result.success
+        assert push_result.detail.startswith("ValueError: staged token at ")
+        assert "failed validation" in push_result.detail
+        assert report.push_outcomes == ()
+        assert bundle.transfer.log.entries() == ()
+        with open_store(cfg.state_dir) as store:
+            assert store.counters() == []
+        (summary,) = bundle.sink.messages
+        assert "failed validation" in summary.body
 
     def test_every_stage_failure_logs_at_error_exactly_once(self, site, caplog):
         site.add_service("dune_production")
@@ -551,3 +577,61 @@ class TestConcurrency:
             for (a_start, a_end), (b_start, b_end) in zip(ticket_intervals,
                                                           ticket_intervals[1:]))
         assert overlapping, "expected ticket acquisitions to overlap in time"
+
+    def test_thread_count_is_bounded_by_services_and_pool(self, site):
+        services, nodes, parallelism = 6, 12, 2
+        node_names = tuple(f"submit{j:02d}.example.org" for j in range(nodes))
+        for i in range(services):
+            site.add_service(f"svc{i}_production", nodes=node_names)
+        cfg = site.config(transfer_parallelism=parallelism)
+        site.seed_uids(site.uid_map())
+        bundle = make_bundle(
+            clock=simkit.SystemClock(),
+            transfer_faults={n: simkit.FaultSchedule("t", (simkit.delay(0.002),))
+                             for n in node_names})
+        inner = bundle.transfer
+        mutex = threading.Lock()
+        peak = [0]
+
+        class CountingTransfer:
+            def put(self, local_path, node, remote_path, timeout=None):
+                with mutex:
+                    peak[0] = max(peak[0], threading.active_count())
+                inner.put(local_path, node, remote_path, timeout=timeout)
+
+        bundle.transfer = CountingTransfer()
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = run_token_push(cfg, bundle)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.ok
+        assert len(report.push_outcomes) == services * nodes
+        assert inner.high_water <= parallelism
+        # The callers' threads, one pipeline thread per service, the pool's
+        # workers and the event consumer; never a thread per node.
+        assert peak[0] <= before + services + parallelism + 2
+        assert threading.active_count() == before
+
+    def test_down_node_on_a_clock_that_never_advances(self, site):
+        site.add_service("dune_production")
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+        faults = {"submit2.example.org": simkit.FaultSchedule(
+            "t", (simkit.fail("no route to host"),))}
+        bundle = make_bundle(clock=simkit.FixedClock(), transfer_faults=faults)
+        reports = []
+        runner = threading.Thread(target=lambda: reports.append(
+            run_token_push(cfg, bundle)))
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "run did not finish on a still clock"
+        (report,) = reports
+        by_node = {o.node: o for o in report.push_outcomes}
+        assert by_node["submit1.example.org"].attempts == 1
+        assert by_node["submit2.example.org"].attempts == cfg.retry.max_attempts == 3
+        failed = [e for e in bundle.transfer.log.entries()
+                  if e.args[0] == "submit2.example.org"]
+        assert len(failed) == 3
