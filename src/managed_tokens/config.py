@@ -32,6 +32,11 @@ ENV_METRICS_GATEWAY_URL = "MANAGED_TOKENS_METRICS_GATEWAY_URL"
 _DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ms|s|m|h|d)?\s*$")
 _DURATION_UNITS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
 
+# libyaml's C parser when PyYAML was built with it, else the pure-Python one.
+# Both feed the same Python resolver and SafeConstructor, so a document
+# loads to the same objects either way; the C one is about ten times faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(Exception):
     """Base class for configuration failures."""
@@ -303,6 +308,12 @@ def _int(value: Any, path: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _bool(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{path}: expected a boolean (true or false)")
+    return value
+
+
 def _positive_duration(value: Any, path: str) -> float:
     seconds = parse_duration(value, path)
     if seconds <= 0:
@@ -475,7 +486,7 @@ def load_config(path: str) -> GlobalConfig:
 def load_config_text(text: str) -> GlobalConfig:
     """Parse and validate a configuration document given as a string."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed YAML: {exc}") from exc
     if raw is None:
@@ -531,7 +542,8 @@ def load_config_text(text: str) -> GlobalConfig:
             _section(raw, "destination_templates", "config"), "config.destination_templates"),
         default_token_path=_str(raw.get("default_token_path", "{tmp_dir}/vt_u{uid}"),
                                 "config.default_token_path"),
-        token_prefix_check=bool(raw.get("token_prefix_check", False)),
+        token_prefix_check=_bool(raw.get("token_prefix_check", False),
+                                 "config.token_prefix_check"),
         oidc_prompt_regex=_str(raw.get("oidc_prompt_regex", r"(?i)(?=.*oidc)(?=.*https?://)"),
                                "config.oidc_prompt_regex"),
         adapter_mode=adapter_mode,
@@ -602,7 +614,7 @@ def _apply_override(effective: dict[str, Any], key: str, value: Any, path: str) 
         if key == "transfer_parallelism":
             effective[key] = _int(value, f"{path}.{key}", minimum=1)
         elif key == "token_prefix_check":
-            effective[key] = bool(value)
+            effective[key] = _bool(value, f"{path}.{key}")
         else:
             effective[key] = _str(value, f"{path}.{key}")
         return

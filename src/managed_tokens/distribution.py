@@ -54,7 +54,6 @@ class PushOutcome:
     node: str
     success: bool
     attempts: int
-    duration: float
     error: Optional[str] = None
 
 
@@ -130,11 +129,13 @@ def _push(
     timeout: Optional[float],
     submit: Callable[..., Future],
     cap: int,
+    check_prefix: bool = False,
 ) -> Iterator[tuple[int, PushOutcome]]:
     """Drive every destination to its final outcome and yield
     ``(index, outcome)`` as each one settles.
 
-    The staged token is validated before any attempt. At most ``cap``
+    The staged token is validated before any attempt, and so is its
+    ``hvs.``/``s.`` prefix when ``check_prefix`` is set. At most ``cap``
     attempts are in flight. A ``TransferError`` is retried up to the policy;
     any other exception fails its node at once. While attempts are in flight
     the caller waits for the first of them to finish or for the next retry to
@@ -142,21 +143,19 @@ def _push(
     retry it slept for then goes out even if ``clock`` did not move, so a
     clock that never advances still finishes.
     """
-    check = validate_token_file(token.path)
-    if not (check.exists and check.non_empty and check.perms_ok):
+    check = validate_token_file(token.path, check_prefix)
+    if not check.ok:
         raise ValueError(f"staged token at {token.path} failed validation: {check}")
     rng = rng if rng is not None else _module_rng
 
     attempts = [0] * len(dests)
-    started = [0.0] * len(dests)
     ready = collections.deque(range(len(dests)))
     backoff: list[tuple[float, int]] = []  # (due on clock, index): a min-heap
     in_flight: dict[Future, int] = {}
 
     def settle(i: int, error: Optional[str] = None) -> PushOutcome:
         return PushOutcome(service=token.service, node=dests[i].node,
-                           success=error is None, attempts=attempts[i],
-                           duration=clock.now() - started[i], error=error)
+                           success=error is None, attempts=attempts[i], error=error)
 
     while ready or backoff or in_flight:
         now = clock.now()
@@ -164,8 +163,6 @@ def _push(
             ready.append(heapq.heappop(backoff)[1])
         while ready and len(in_flight) < cap:
             i = ready.popleft()
-            if attempts[i] == 0:
-                started[i] = clock.now()
             attempts[i] += 1
             in_flight[submit(_attempt, token.path, dests[i], transfer, timeout)] = i
         if not in_flight:
@@ -235,7 +232,8 @@ def push_all(
     cap = min(svc.transfer_parallelism, limiter.limit)
     settled: dict[int, PushOutcome] = {}
     for i, outcome in _push(token, dests, transfer, svc.retry, clock, rng,
-                            svc.timeouts.transfer, limiter.submit, cap):
+                            svc.timeouts.transfer, limiter.submit, cap,
+                            check_prefix=svc.token_prefix_check):
         store.record_push_outcome(svc.name, outcome.node, outcome.success, clock.now())
         settled[i] = outcome
     return [settled[i] for i in range(len(dests))]

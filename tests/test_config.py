@@ -149,6 +149,19 @@ class TestValidation:
         with pytest.raises(ValidationError, match="adapter_mode"):
             site.config(adapter_mode="pretend")
 
+    def test_quoted_false_token_prefix_check_rejected(self, site):
+        site.add_service("dune_production")
+        assert site.config(token_prefix_check=True).token_prefix_check is True
+        with pytest.raises(ValidationError, match=r"^config\.token_prefix_check: "):
+            site.config(token_prefix_check="false")
+
+    def test_non_boolean_token_prefix_check_override_rejected(self, site):
+        site.add_service("dune_production", overrides={"token_prefix_check": "no"})
+        with pytest.raises(
+                ValidationError,
+                match=r"^config\.services\.dune_production\.overrides\.token_prefix_check: "):
+            site.config()
+
 
 class TestOverrides:
     def test_identity_merge_without_overrides(self, site):
@@ -255,3 +268,149 @@ class TestRoundTrip:
                           "threshold": threshold},
         )
         assert load_config_text(write_back(cfg)) == cfg
+
+
+# Every optional section set, string durations, a non-ASCII stakeholder.
+FULL_DOCUMENT = """\
+state_dir: /var/lib/managed-tokens
+tmp_dir: /scratch/tmp
+kerberos_realm: FNAL.GOV
+transfer_parallelism: 6
+timeouts: {ticket: 90s, vault_store: 5m, transfer: 45, registry_fetch: 1m}
+retry: {max_attempts: 4, base_backoff: 500ms}
+token_lifetimes: {bearer: 3h, vault_local: 7d, vault_credd: 28d}
+metrics_gateway_url: http://gw.example.org:9091
+trace_export: /var/log/managed-tokens/spans.jsonl
+notification:
+  admin_recipients: [ops@example.org, oncall@example.org]
+  from_address: managed-tokens@example.org
+  smtp_server: smtp.example.org
+  smtp_port: 587
+  threshold: 2
+registry:
+  base_url: https://registry.example.org:8445
+  uid_endpoint_template: /getUserInfo?username={account}
+  uid_json_path: ferry_output.uid
+  timeout: 20s
+  ca_bundle: /etc/grid-security/ca.pem
+  poll_interval: 2h
+commands:
+  ticket: kinit -k -t {keytab} -c {cache} {principal}
+  storer: condor_vault_storer -v {service}
+  transfer: rsync -p -e ssh {local} {node}:{remote}
+destination_templates:
+  user: "{tmp_dir}/vt_u{uid}"
+  role: "{tmp_dir}/vt_u{uid}-{issuer}_{role}"
+default_token_path: "{tmp_dir}/vt_u{uid}"
+token_prefix_check: true
+oidc_prompt_regex: '(?i)(?=.*oidc)(?=.*https?://)'
+adapter_mode: simulation
+simulation:
+  registry_uids: {duneprod: 5000}
+  fault_schedules: /etc/managed-tokens/faults.yaml
+services:
+  dune_production:
+    account: duneprod
+    experiment: dune
+    role: production
+    keytab_path: /opt/keytabs/duneprod.keytab
+    principal_user: duneprod
+    principal_purpose: managedtokens
+    principal_host: tokens.example.org
+    credd_hosts: [credd1.example.org, credd2.example.org]
+    nodes: [submit1.example.org, submit2.example.org]
+    token_issuer: dunevault
+    stakeholder_emails: [zoë.müller@example.org]
+    overrides:
+      retry.max_attempts: 2
+      timeouts.transfer: 2m
+      token_prefix_check: false
+"""
+
+# An anchor, an alias, a merge key and a quoted "false".
+ANCHOR_DOCUMENT = """\
+state_dir: /var/lib/managed-tokens
+kerberos_realm: FNAL.GOV
+services:
+  dune_production: &base
+    account: duneprod
+    experiment: dune
+    role: "false"
+    keytab_path: /opt/keytabs/duneprod.keytab
+    principal_user: duneprod
+    principal_purpose: managedtokens
+    principal_host: tokens.example.org
+    credd_hosts: &credds [credd1.example.org]
+    nodes: [submit1.example.org]
+    token_issuer: dunevault
+  mu2e_production:
+    <<: *base
+    account: mu2eprod
+    experiment: mu2e
+    role: production
+    credd_hosts: *credds
+    token_issuer: mu2evault
+"""
+
+PYTHON_LOADER = yaml.SafeLoader
+C_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+class TestYamlLoaders:
+    """The C and the pure-Python parsers must accept the same documents and
+    build the same config from them."""
+
+    @staticmethod
+    def load_each(text, monkeypatch):
+        loaded = []
+        for loader in (PYTHON_LOADER, C_LOADER):
+            monkeypatch.setattr(config_mod, "_YAML_LOADER", loader)
+            cfg = load_config_text(text)
+            loaded.append((cfg, write_back(cfg)))
+        return loaded
+
+    def test_c_parser_used_when_pyyaml_has_libyaml(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert config_mod._YAML_LOADER is expected
+
+    def test_site_config_loads_the_same(self, site, monkeypatch):
+        site.add_service("dune_production", overrides={"retry.max_attempts": 5})
+        site.add_service("mu2e_production", stakeholder_emails=())
+        site.add_service("nova_production",
+                         nodes=("a.example.org", "b.example.org", "c.example.org"))
+        with open(site.config_path(), encoding="utf-8") as fh:
+            text = fh.read()
+        (py_cfg, py_text), (c_cfg, c_text) = self.load_each(text, monkeypatch)
+        assert py_cfg == c_cfg
+        assert py_text == c_text
+
+    def test_every_optional_section_loads_the_same(self, monkeypatch):
+        (py_cfg, py_text), (c_cfg, c_text) = self.load_each(FULL_DOCUMENT, monkeypatch)
+        assert py_cfg == c_cfg
+        assert py_text == c_text
+        assert c_cfg.timeouts.vault_store == 300.0
+        assert c_cfg.retry.base_backoff == 0.5
+        assert c_cfg.token_lifetimes.bearer == 10800.0
+        assert c_cfg.registry.poll_interval == 7200.0
+        assert c_cfg.token_prefix_check is True
+        assert c_cfg.services["dune_production"].stakeholder_emails == (
+            "zoë.müller@example.org",)
+        resolved = resolve_service(c_cfg, "dune_production")
+        assert resolved.timeouts.transfer == 120.0
+        assert resolved.token_prefix_check is False
+
+    def test_anchor_alias_and_quoted_false_load_the_same(self, monkeypatch):
+        (py_cfg, py_text), (c_cfg, c_text) = self.load_each(ANCHOR_DOCUMENT, monkeypatch)
+        assert py_cfg == c_cfg
+        assert py_text == c_text
+        assert c_cfg.services["dune_production"].role == "false"
+        mu2e = c_cfg.services["mu2e_production"]
+        assert mu2e.credd_hosts == ("credd1.example.org",)
+        assert mu2e.principal_user == "duneprod"  # from the merged anchor
+
+    @pytest.mark.parametrize("loader", [PYTHON_LOADER, C_LOADER],
+                             ids=["python", "libyaml"])
+    def test_malformed_yaml_names_the_line(self, loader, monkeypatch):
+        monkeypatch.setattr(config_mod, "_YAML_LOADER", loader)
+        with pytest.raises(ParseError, match=r"malformed YAML: (.|\n)*line 1, column \d+"):
+            load_config_text("state_dir: [unclosed\n")

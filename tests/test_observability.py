@@ -54,8 +54,8 @@ class TestReportToMetrics:
                           result("b_svc", "vault_store"),
                           result("b_svc", "push")],
             },
-            push_outcomes=[PushOutcome("a_svc", "n1", True, 1, 0.5),
-                           PushOutcome("b_svc", "n1", True, 1, 0.5)],
+            push_outcomes=[PushOutcome("a_svc", "n1", True, 1),
+                           PushOutcome("b_svc", "n1", True, 1)],
         )
         samples = report_to_metrics(report, now=999.0)
         text = render_exposition(samples)
@@ -84,8 +84,8 @@ class TestReportToMetrics:
     def test_failures_counted(self):
         report = make_report(
             {"a_svc": [result("a_svc", "ticket", success=False)]},
-            push_outcomes=[PushOutcome("a_svc", "nX", False, 3, 2.0, error="down"),
-                           PushOutcome("a_svc", "nY", True, 1, 0.1)],
+            push_outcomes=[PushOutcome("a_svc", "nX", False, 3, error="down"),
+                           PushOutcome("a_svc", "nY", True, 1)],
         )
         parsed = exposition_parser.parse(render_exposition(
             report_to_metrics(report, now=0.0)))
@@ -104,7 +104,7 @@ class TestReportToMetrics:
 
     def test_every_metric_name_carries_the_prefix(self):
         report = make_report({"a": [result("a", "ticket")]},
-                             push_outcomes=[PushOutcome("a", "n", True, 1, 0.1)])
+                             push_outcomes=[PushOutcome("a", "n", True, 1)])
         for sample in report_to_metrics(report, now=0.0):
             assert sample.name.startswith("managed_tokens_")
 

@@ -220,6 +220,48 @@ class TestFailureIsolation:
         (summary,) = bundle.sink.messages
         assert "failed validation" in summary.body
 
+    @staticmethod
+    def stage_unprefixed_token(monkeypatch):
+        """Make the storer's token a well-formed file without a vault prefix."""
+        store_vault_tokens = credentials.store_vault_tokens
+
+        def unprefixed(*args, **kwargs):
+            token = store_vault_tokens(*args, **kwargs)
+            with open(token.path, "wb") as fh:
+                fh.write(b"eyJhbGciOiJSUzI1NiJ9.not-a-vault-token\n")
+            return token
+
+        monkeypatch.setattr(credentials, "store_vault_tokens", unprefixed)
+
+    def test_prefix_check_fails_push_before_any_put(self, site, monkeypatch):
+        site.add_service("dune_production")
+        cfg = site.config(token_prefix_check=True)
+        site.seed_uids(site.uid_map())
+        self.stage_unprefixed_token(monkeypatch)
+        bundle = make_bundle()
+        report = run_token_push(cfg, bundle)
+        push_result = report.per_service["dune_production"][-1]
+        assert push_result.stage == "push" and not push_result.success
+        assert push_result.detail.startswith("ValueError: staged token at ")
+        assert "prefix_ok=False" in push_result.detail
+        assert report.push_outcomes == ()
+        assert bundle.transfer.log.entries() == ()
+        with open_store(cfg.state_dir) as store:
+            assert store.counters() == []
+
+    def test_prefix_check_off_by_default_pushes_the_same_token(self, site, monkeypatch):
+        site.add_service("dune_production")
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+        self.stage_unprefixed_token(monkeypatch)
+        bundle = make_bundle()
+        report = run_token_push(cfg, bundle)
+        assert report.ok
+        assert [o.success for o in report.push_outcomes] == [True, True]
+        assert len(bundle.transfer.log.entries()) == 4  # 2 nodes x 2 copies
+        with open_store(cfg.state_dir) as store:
+            assert [c.consecutive_failures for c in store.counters()] == [0, 0]
+
     def test_every_stage_failure_logs_at_error_exactly_once(self, site, caplog):
         site.add_service("dune_production")
         cfg = site.config()
