@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -414,3 +415,233 @@ class TestYamlLoaders:
         monkeypatch.setattr(config_mod, "_YAML_LOADER", loader)
         with pytest.raises(ParseError, match=r"malformed YAML: (.|\n)*line 1, column \d+"):
             load_config_text("state_dir: [unclosed\n")
+
+
+# The smallest document that loads; each TestMessages row breaks one thing in it.
+MESSAGE_BASE = {
+    "state_dir": "/var/lib/managed-tokens",
+    "kerberos_realm": "FNAL.GOV",
+    "services": {
+        "svc": {
+            "account": "duneprod",
+            "experiment": "dune",
+            "role": "production",
+            "keytab_path": "/opt/keytabs/duneprod.keytab",
+            "principal_user": "duneprod",
+            "principal_purpose": "managedtokens",
+            "principal_host": "tokens.example.org",
+            "credd_hosts": ["credd1.example.org"],
+            "nodes": ["submit1.example.org"],
+            "token_issuer": "dunevault",
+        },
+    },
+}
+DROP = object()
+SVC = "services/svc"
+OVR = "services/svc/overrides"
+LIFETIME_ORDER = ("lifetimes must satisfy bearer < vault_local < vault_credd "
+                  "(got {} / {} / {})")
+
+
+def message_document(patch):
+    """MESSAGE_BASE with each ``a/b/c`` path in ``patch`` set (or dropped)."""
+    doc = copy.deepcopy(MESSAGE_BASE)
+    for path, value in patch.items():
+        *parents, leaf = path.split("/")
+        node = doc
+        for key in parents:
+            node = node.setdefault(key, {})
+        if value is DROP:
+            del node[leaf]
+        else:
+            node[leaf] = value
+    return yaml.safe_dump(doc)
+
+
+def row(row_id, patch, message):
+    return pytest.param(patch, message, id=row_id)
+
+
+MESSAGE_ROWS = [
+    # Required fields: missing, null, empty, wrong type.
+    row("state_dir-missing", {"state_dir": DROP}, "config.state_dir: required field is missing"),
+    row("state_dir-null", {"state_dir": None}, "config.state_dir: required field is missing"),
+    row("state_dir-empty", {"state_dir": ""}, "config.state_dir: expected a non-empty string"),
+    row("state_dir-number", {"state_dir": 5}, "config.state_dir: expected a non-empty string"),
+    row("kerberos_realm-missing", {"kerberos_realm": DROP},
+        "config.kerberos_realm: required field is missing"),
+    row("services-missing", {"services": DROP}, "config.services: required field is missing"),
+    row("services-empty", {"services": {}}, "config.services: must be non-empty"),
+    row("services-list", {"services": ["svc"]}, "config.services: must be non-empty"),
+    row("service-number", {SVC: 5}, "config.services.svc: expected a mapping"),
+    row("service-null", {SVC: None}, "config.services.svc: expected a mapping"),
+    row("service-list", {SVC: ["account"]}, "config.services.svc: expected a mapping"),
+    row("account-missing", {f"{SVC}/account": DROP},
+        "config.services.svc.account: required field is missing"),
+    row("account-null", {f"{SVC}/account": None},
+        "config.services.svc.account: required field is missing"),
+    row("account-empty", {f"{SVC}/account": ""},
+        "config.services.svc.account: expected a non-empty string"),
+    row("token_issuer-number", {f"{SVC}/token_issuer": 7},
+        "config.services.svc.token_issuer: expected a non-empty string"),
+    # Lists.
+    row("credd_hosts-missing", {f"{SVC}/credd_hosts": DROP},
+        "config.services.svc.credd_hosts: required field is missing"),
+    row("credd_hosts-empty", {f"{SVC}/credd_hosts": []},
+        "config.services.svc.credd_hosts: must be non-empty"),
+    row("nodes-empty", {f"{SVC}/nodes": []}, "config.services.svc.nodes: must be non-empty"),
+    row("nodes-duplicate", {f"{SVC}/nodes": ["a.example.org", "a.example.org"]},
+        "config.services.svc.nodes: contains duplicates"),
+    row("nodes-empty-item", {f"{SVC}/nodes": ["a.example.org", ""]},
+        "config.services.svc.nodes[1]: expected a non-empty string"),
+    row("nodes-number-item", {f"{SVC}/nodes": [5]},
+        "config.services.svc.nodes[0]: expected a non-empty string"),
+    row("nodes-string", {f"{SVC}/nodes": "a.example.org"},
+        "config.services.svc.nodes: expected a list of strings"),
+    row("stakeholder_emails-string", {f"{SVC}/stakeholder_emails": "a@example.org"},
+        "config.services.svc.stakeholder_emails: expected a list of strings"),
+    row("stakeholder_emails-duplicate",
+        {f"{SVC}/stakeholder_emails": ["a@example.org", "a@example.org"]},
+        "config.services.svc.stakeholder_emails: contains duplicates"),
+    row("admin_recipients-empty-item", {"notification/admin_recipients": [""]},
+        "config.notification.admin_recipients[0]: expected a non-empty string"),
+    # Integers.
+    row("transfer_parallelism-zero", {"transfer_parallelism": 0},
+        "config.transfer_parallelism: must be >= 1"),
+    row("transfer_parallelism-bool", {"transfer_parallelism": True},
+        "config.transfer_parallelism: expected an integer"),
+    row("transfer_parallelism-float", {"transfer_parallelism": 2.5},
+        "config.transfer_parallelism: expected an integer"),
+    row("transfer_parallelism-null", {"transfer_parallelism": None},
+        "config.transfer_parallelism: expected an integer"),
+    row("max_attempts-zero", {"retry/max_attempts": 0}, "config.retry.max_attempts: must be >= 1"),
+    row("max_attempts-string", {"retry/max_attempts": "3"},
+        "config.retry.max_attempts: expected an integer"),
+    row("smtp_port-zero", {"notification/smtp_port": 0},
+        "config.notification.smtp_port: must be >= 1"),
+    row("threshold-bool", {"notification/threshold": False},
+        "config.notification.threshold: expected an integer"),
+    # Durations.
+    row("timeout-zero", {"timeouts/transfer": 0}, "config.timeouts.transfer: must be > 0"),
+    row("backoff-negative", {"retry/base_backoff": -1}, "config.retry.base_backoff: must be > 0"),
+    row("registry-timeout-zero", {"registry/timeout": "0s"},
+        "config.registry.timeout: must be > 0"),
+    row("timeout-null", {"timeouts/ticket": None},
+        "config.timeouts.ticket: cannot parse duration None"),
+    row("timeout-unparsable", {"timeouts/ticket": "fast"},
+        "config.timeouts.ticket: cannot parse duration 'fast'"),
+    row("timeout-bool", {"timeouts/ticket": True},
+        "config.timeouts.ticket: expected a duration, got a boolean"),
+    # Strings and booleans.
+    row("tmp_dir-empty", {"tmp_dir": ""}, "config.tmp_dir: expected a non-empty string"),
+    row("tmp_dir-null", {"tmp_dir": None}, "config.tmp_dir: expected a non-empty string"),
+    row("from_address-empty", {"notification/from_address": ""},
+        "config.notification.from_address: expected a non-empty string"),
+    row("ca_bundle-empty", {"registry/ca_bundle": ""},
+        "config.registry.ca_bundle: expected a non-empty string"),
+    row("commands-storer-empty", {"commands/storer": ""},
+        "config.commands.storer: expected a non-empty string"),
+    row("destination-user-number", {"destination_templates/user": 5},
+        "config.destination_templates.user: expected a non-empty string"),
+    row("trace_export-empty", {"trace_export": ""},
+        "config.trace_export: expected a non-empty string"),
+    row("fault_schedules-empty", {"simulation/fault_schedules": ""},
+        "config.simulation.fault_schedules: expected a non-empty string"),
+    row("token_prefix_check-string", {"token_prefix_check": "false"},
+        "config.token_prefix_check: expected a boolean (true or false)"),
+    # Unknown keys at each level.
+    row("unknown-top", {"surprise": 1}, "config: unknown key(s) surprise"),
+    row("unknown-top-two", {"zeta": 1, "alpha": 2}, "config: unknown key(s) alpha, zeta"),
+    row("unknown-service", {f"{SVC}/color": "blue"}, "config.services.svc: unknown key(s) color"),
+    row("unknown-service-name", {f"{SVC}/name": "svc"}, "config.services.svc: unknown key(s) name"),
+    row("unknown-timeouts", {"timeouts/connect": 5}, "config.timeouts: unknown key(s) connect"),
+    row("unknown-retry", {"retry/jitter": 0.5}, "config.retry: unknown key(s) jitter"),
+    row("unknown-lifetimes", {"token_lifetimes/refresh": "1h"},
+        "config.token_lifetimes: unknown key(s) refresh"),
+    row("unknown-notification", {"notification/cc": ["a@example.org"]},
+        "config.notification: unknown key(s) cc"),
+    row("unknown-registry", {"registry/retries": 2}, "config.registry: unknown key(s) retries"),
+    row("unknown-commands", {"commands/scp": "scp"}, "config.commands: unknown key(s) scp"),
+    row("unknown-destinations", {"destination_templates/group": "{tmp_dir}/g"},
+        "config.destination_templates: unknown key(s) group"),
+    row("unknown-simulation", {"simulation/seed": 1}, "config.simulation: unknown key(s) seed"),
+    # Sections that are not mappings.
+    row("timeouts-number", {"timeouts": 5}, "config.timeouts: expected a mapping"),
+    row("registry-list", {"registry": ["base_url"]}, "config.registry: expected a mapping"),
+    row("commands-string", {"commands": "kinit"}, "config.commands: expected a mapping"),
+    row("overrides-list", {OVR: ["tmp_dir"]}, "config.services.svc.overrides: expected a mapping"),
+    row("registry_uids-number", {"simulation/registry_uids": 5},
+        "config.simulation.registry_uids: expected a mapping"),
+    # Field rules that differ from the field's type.
+    row("state_dir-relative", {"state_dir": "relative/path"},
+        "config.state_dir: must be an absolute path"),
+    row("gateway-ftp", {"metrics_gateway_url": "ftp://gw.example.org"},
+        "config.metrics_gateway_url: must be an http(s) URL"),
+    row("gateway-empty", {"metrics_gateway_url": ""},
+        "config.metrics_gateway_url: expected a non-empty string"),
+    row("adapter_mode-unknown", {"adapter_mode": "pretend"},
+        "config.adapter_mode: must be 'real' or 'simulation'"),
+    row("adapter_mode-null", {"adapter_mode": None},
+        "config.adapter_mode: must be 'real' or 'simulation'"),
+    row("base_url-number", {"registry/base_url": 5}, "config.registry.base_url: expected a string"),
+    row("registry_uid-negative", {"simulation/registry_uids": {"duneprod": -1}},
+        "config.simulation.registry_uids.duneprod: must be >= 0"),
+    row("registry_uid-string", {"simulation/registry_uids": {"duneprod": "5000"}},
+        "config.simulation.registry_uids.duneprod: expected an integer"),
+    # Cross-field rules.
+    row("lifetimes-bearer-too-long", {"token_lifetimes/bearer": "8d"},
+        "config.token_lifetimes: " + LIFETIME_ORDER.format(691200.0, 604800.0, 2419200.0)),
+    row("lifetimes-equal", {"token_lifetimes/vault_local": "28d"},
+        "config.token_lifetimes: " + LIFETIME_ORDER.format(10800.0, 2419200.0, 2419200.0)),
+    row("destinations-equal", {"destination_templates": {"user": "{tmp_dir}/t",
+                                                         "role": "{tmp_dir}/t"}},
+        "config.destination_templates: user and role templates must differ"),
+    row("endpoint-no-account", {"registry/uid_endpoint_template": "/users"},
+        "config.registry.uid_endpoint_template: must contain exactly one {account} placeholder"),
+    row("endpoint-two-accounts", {"registry/uid_endpoint_template": "/u/{account}/{account}"},
+        "config.registry.uid_endpoint_template: must contain exactly one {account} placeholder"),
+    # Per-service overrides.
+    row("override-not-overridable", {OVR: {"state_dir": "/elsewhere"}},
+        "config.services.svc.overrides.state_dir: not an overridable field"),
+    row("override-registry", {OVR: {"registry.timeout": 5}},
+        "config.services.svc.overrides.registry.timeout: not an overridable field"),
+    row("override-group-without-member", {OVR: {"retry": {"max_attempts": 2}}},
+        "config.services.svc.overrides.retry: not an overridable field"),
+    row("override-group-empty-member", {OVR: {"retry.": 2}},
+        "config.services.svc.overrides.retry.: not an overridable field"),
+    row("override-flat-with-member", {OVR: {"tmp_dir.path": "/scratch"}},
+        "config.services.svc.overrides.tmp_dir.path: not an overridable field"),
+    row("override-no-such-member", {OVR: {"retry.jitter": 0.5}},
+        "config.services.svc.overrides.retry.jitter: retry has no field 'jitter'"),
+    row("override-bad-int", {OVR: {"retry.max_attempts": 0}},
+        "config.services.svc.overrides.retry.max_attempts: must be >= 1"),
+    row("override-bad-parallelism", {OVR: {"transfer_parallelism": 0}},
+        "config.services.svc.overrides.transfer_parallelism: must be >= 1"),
+    row("override-bad-duration", {OVR: {"timeouts.transfer": "soon"}},
+        "config.services.svc.overrides.timeouts.transfer: cannot parse duration 'soon'"),
+    row("override-bad-string", {OVR: {"commands.storer": ""}},
+        "config.services.svc.overrides.commands.storer: expected a non-empty string"),
+    row("override-bad-bool", {OVR: {"token_prefix_check": "no"}},
+        "config.services.svc.overrides.token_prefix_check: expected a boolean (true or false)"),
+    row("override-breaks-lifetimes", {OVR: {"token_lifetimes.vault_local": "30d"}},
+        "config.services.svc.overrides.token_lifetimes: "
+        + LIFETIME_ORDER.format(10800.0, 2592000.0, 2419200.0)),
+]
+
+
+class TestMessages:
+    """Each bad document fails with exactly this message."""
+
+    @pytest.fixture(autouse=True)
+    def _no_environment(self, monkeypatch):
+        monkeypatch.delenv(ENV_STATE_DIR, raising=False)
+        monkeypatch.delenv(ENV_METRICS_GATEWAY_URL, raising=False)
+
+    def test_base_document_loads(self):
+        assert list(load_config_text(message_document({})).services) == ["svc"]
+
+    @pytest.mark.parametrize("patch,message", MESSAGE_ROWS)
+    def test_message(self, patch, message):
+        with pytest.raises(ValidationError) as caught:
+            load_config_text(message_document(patch))
+        assert str(caught.value) == message
