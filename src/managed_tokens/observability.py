@@ -287,6 +287,7 @@ def setup_logging(verbosity: int = 0, state_dir: Optional[str] = None) -> None:
     root.setLevel(min(level, logging.INFO))
     for handler in list(root.handlers):
         root.removeHandler(handler)
+        handler.close()  # a StreamHandler leaves its stream (stderr) open
     stderr_handler = logging.StreamHandler(sys.stderr)
     stderr_handler.setLevel(level)
     stderr_handler.setFormatter(logging.Formatter(LOG_FORMAT))

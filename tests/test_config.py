@@ -40,7 +40,6 @@ class TestDefaults:
         cfg = site.config()
         assert cfg.timeouts.vault_store == 180.0
         assert cfg.timeouts.transfer == 30.0
-        assert cfg.timeouts.registry_fetch == 30.0
         assert cfg.retry.max_attempts == 3
         assert cfg.retry.base_backoff == 1.0
         assert cfg.transfer_parallelism == 4
@@ -277,7 +276,7 @@ state_dir: /var/lib/managed-tokens
 tmp_dir: /scratch/tmp
 kerberos_realm: FNAL.GOV
 transfer_parallelism: 6
-timeouts: {ticket: 90s, vault_store: 5m, transfer: 45, registry_fetch: 1m}
+timeouts: {ticket: 90s, vault_store: 5m, transfer: 45}
 retry: {max_attempts: 4, base_backoff: 500ms}
 token_lifetimes: {bearer: 3h, vault_local: 7d, vault_credd: 28d}
 metrics_gateway_url: http://gw.example.org:9091
@@ -294,7 +293,6 @@ registry:
   uid_json_path: ferry_output.uid
   timeout: 20s
   ca_bundle: /etc/grid-security/ca.pem
-  poll_interval: 2h
 commands:
   ticket: kinit -k -t {keytab} -c {cache} {principal}
   storer: condor_vault_storer -v {service}
@@ -392,7 +390,6 @@ class TestYamlLoaders:
         assert c_cfg.timeouts.vault_store == 300.0
         assert c_cfg.retry.base_backoff == 0.5
         assert c_cfg.token_lifetimes.bearer == 10800.0
-        assert c_cfg.registry.poll_interval == 7200.0
         assert c_cfg.token_prefix_check is True
         assert c_cfg.services["dune_production"].stakeholder_emails == (
             "zoë.müller@example.org",)
@@ -565,12 +562,23 @@ MESSAGE_ROWS = [
     row("unknown-destinations", {"destination_templates/group": "{tmp_dir}/g"},
         "config.destination_templates: unknown key(s) group"),
     row("unknown-simulation", {"simulation/seed": 1}, "config.simulation: unknown key(s) seed"),
+    row("removed-registry_fetch", {"timeouts/registry_fetch": "1m"},
+        "config.timeouts: unknown key(s) registry_fetch"),
+    row("removed-poll_interval", {"registry/poll_interval": "2h"},
+        "config.registry: unknown key(s) poll_interval"),
     # Sections that are not mappings.
     row("timeouts-number", {"timeouts": 5}, "config.timeouts: expected a mapping"),
     row("registry-list", {"registry": ["base_url"]}, "config.registry: expected a mapping"),
     row("commands-string", {"commands": "kinit"}, "config.commands: expected a mapping"),
     row("overrides-list", {OVR: ["tmp_dir"]}, "config.services.svc.overrides: expected a mapping"),
     row("registry_uids-number", {"simulation/registry_uids": 5},
+        "config.simulation.registry_uids: expected a mapping"),
+    row("retry-zero", {"retry": 0}, "config.retry: expected a mapping"),
+    row("timeouts-false", {"timeouts": False}, "config.timeouts: expected a mapping"),
+    row("notification-empty-string", {"notification": ""},
+        "config.notification: expected a mapping"),
+    row("overrides-zero", {OVR: 0}, "config.services.svc.overrides: expected a mapping"),
+    row("registry_uids-false", {"simulation/registry_uids": False},
         "config.simulation.registry_uids: expected a mapping"),
     # Field rules that differ from the field's type.
     row("state_dir-relative", {"state_dir": "relative/path"},
@@ -626,6 +634,10 @@ MESSAGE_ROWS = [
     row("override-breaks-lifetimes", {OVR: {"token_lifetimes.vault_local": "30d"}},
         "config.services.svc.overrides.token_lifetimes: "
         + LIFETIME_ORDER.format(10800.0, 2592000.0, 2419200.0)),
+    row("override-breaks-destinations",
+        {OVR: {"destination_templates.role": "{tmp_dir}/vt_u{uid}"}},
+        "config.services.svc.overrides.destination_templates: "
+        "user and role templates must differ"),
 ]
 
 
@@ -639,6 +651,16 @@ class TestMessages:
 
     def test_base_document_loads(self):
         assert list(load_config_text(message_document({})).services) == ["svc"]
+
+    @pytest.mark.parametrize("section", ["timeouts", "retry", "notification", "simulation"])
+    def test_null_section_means_defaults(self, section):
+        cfg = load_config_text(message_document({section: None}))
+        assert getattr(cfg, section) == getattr(load_config_text(message_document({})), section)
+
+    def test_non_string_key_is_an_unknown_key(self):
+        with pytest.raises(ValidationError) as caught:
+            load_config_text(message_document({}) + "1: 2\n")
+        assert str(caught.value) == "config: unknown key(s) 1"
 
     @pytest.mark.parametrize("patch,message", MESSAGE_ROWS)
     def test_message(self, patch, message):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import logging
+import logging.handlers
 import random
 
 import pytest
@@ -291,6 +292,8 @@ class TestSetupLogging:
         yield
         for handler in list(root.handlers):
             root.removeHandler(handler)
+            if handler not in saved_handlers:
+                handler.close()
         for handler in saved_handlers:
             root.addHandler(handler)
         root.setLevel(saved_level)
@@ -303,6 +306,15 @@ class TestSetupLogging:
         text = log_file.read_text()
         assert "hello from the suite" in text
         assert "level=INFO" in text
+
+    def test_reconfiguring_closes_the_replaced_log_file(self, tmp_path):
+        setup_logging(verbosity=1, state_dir=str(tmp_path))
+        first = next(h for h in logging.getLogger().handlers
+                     if isinstance(h, logging.handlers.RotatingFileHandler))
+        stream = first.stream
+        setup_logging(verbosity=1, state_dir=str(tmp_path))
+        assert first not in logging.getLogger().handlers
+        assert stream.closed
 
     def test_verbosity_controls_stderr_level(self):
         setup_logging(verbosity=0)
