@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import os
+import shlex
 import smtplib
 import subprocess
 from email.message import EmailMessage
@@ -159,7 +160,7 @@ def build_real_bundle(config: GlobalConfig) -> AdapterBundle:
 
 
 def _command_basename(template: str) -> str:
-    return os.path.basename(template.split()[0])
+    return os.path.basename(shlex.split(template)[0])
 
 
 def build_simulation_bundle(config: GlobalConfig) -> AdapterBundle:

@@ -2,10 +2,10 @@
 
 Flow per service: obtain a Kerberos ticket from the service's keytab into a
 per-service cache, then run the external vault-storer command once per credd
-host under a global lock (the storer tool cannot run concurrently), and
-finally move the vault token it wrote at the shared per-user default
-location into per-service staging so the next service's token cannot
-collide with it.
+host, and finally move the vault token it wrote at the shared per-user
+default location into per-service staging so the next service's token cannot
+collide with it. The storer tool cannot run concurrently: the caller runs
+every :func:`store_vault_tokens` call of a run on one thread.
 
 Command lines are config templates; each invocation also carries the
 designations downstream tools expect in its environment (credential cache,
@@ -18,8 +18,8 @@ from __future__ import annotations
 import logging
 import os
 import re
+import shlex
 import shutil
-import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -118,24 +118,6 @@ class TokenCheck:
         return self.exists and self.non_empty and self.perms_ok and self.prefix_ok
 
 
-class StorerLock:
-    """Global mutual exclusion for the vault-storer command.
-
-    Reentrant so an orchestration layer that already holds it may call
-    :func:`store_vault_tokens` directly.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.RLock()
-
-    def __enter__(self) -> "StorerLock":
-        self._lock.acquire()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._lock.release()
-
-
 def render_principal(principal: KerberosPrincipal) -> str:
     """Render the robot-credential name: user/purpose/host@realm."""
     for name in ("user", "purpose", "host", "realm"):
@@ -154,10 +136,15 @@ def service_principal(svc: ResolvedService) -> KerberosPrincipal:
 
 
 def render_command(template: str, values: Mapping[str, str]) -> tuple[str, ...]:
-    """Split a command template into argv, then substitute placeholders per
-    token (so a value containing spaces stays one argument)."""
+    """Split a command template into argv with shell quoting rules (so
+    ``-e "ssh -o ControlMaster=auto"`` is one argument), then substitute
+    placeholders per token (so a value containing spaces stays one argument)."""
+    try:
+        tokens = shlex.split(template)
+    except ValueError as exc:
+        raise CredentialError(f"cannot split command template {template!r}: {exc}")
     argv = []
-    for token in template.split():
+    for token in tokens:
         try:
             argv.append(token.format(**values))
         except KeyError as exc:
@@ -217,11 +204,10 @@ def store_vault_tokens(
     uid: int,
     ticket: TicketCache,
     runner: CommandRunner,
-    lock: StorerLock,
     clock: Clock,
 ) -> VaultTokenFile:
-    """Run the vault-storer once per credd host, serialized globally, then
-    stage the resulting token.
+    """Run the vault-storer once per credd host, then stage the resulting
+    token. The caller must not run two of these at once.
 
     The storer writes its token at the shared per-user default location;
     after the last credd host succeeds that file is *moved* to
@@ -242,32 +228,31 @@ def store_vault_tokens(
         "vault_local_seconds": str(int(svc.token_lifetimes.vault_local)),
         "vault_credd_seconds": str(int(svc.token_lifetimes.vault_credd)),
     }
-    with lock:
-        for credd in svc.credd_hosts:
-            argv = render_command(svc.commands.storer, {**values, "credd": credd})
-            env = {
-                **ticket.env(),
-                CREDD_HOST_ENV: credd,
-                DEFAULT_TOKEN_PATH_ENV: shared_path,
-                VAULT_LOCAL_SECONDS_ENV: values["vault_local_seconds"],
-                VAULT_CREDD_SECONDS_ENV: values["vault_credd_seconds"],
-            }
-            inv = runner.run(argv, env_overrides=env, timeout=svc.timeouts.vault_store)
-            prompt = _oidc_prompt_line(inv, svc.oidc_prompt_regex)
-            if prompt is not None:
-                raise InteractiveAuthRequired(prompt)
-            if inv.exit_code != 0:
-                raise CommandFailed(inv)
+    for credd in svc.credd_hosts:
+        argv = render_command(svc.commands.storer, {**values, "credd": credd})
+        env = {
+            **ticket.env(),
+            CREDD_HOST_ENV: credd,
+            DEFAULT_TOKEN_PATH_ENV: shared_path,
+            VAULT_LOCAL_SECONDS_ENV: values["vault_local_seconds"],
+            VAULT_CREDD_SECONDS_ENV: values["vault_credd_seconds"],
+        }
+        inv = runner.run(argv, env_overrides=env, timeout=svc.timeouts.vault_store)
+        prompt = _oidc_prompt_line(inv, svc.oidc_prompt_regex)
+        if prompt is not None:
+            raise InteractiveAuthRequired(prompt)
+        if inv.exit_code != 0:
+            raise CommandFailed(inv)
 
-        if not os.path.isfile(shared_path) or os.path.getsize(shared_path) == 0:
-            raise TokenNotProduced(
-                f"storer succeeded but no token found at {shared_path}")
-        staged = staging_path(svc)
-        staged_dir = os.path.dirname(staged)
-        os.makedirs(staged_dir, mode=0o700, exist_ok=True)
-        os.chmod(staged_dir, 0o700)
-        shutil.move(shared_path, staged)
-        os.chmod(staged, 0o600)
+    if not os.path.isfile(shared_path) or os.path.getsize(shared_path) == 0:
+        raise TokenNotProduced(
+            f"storer succeeded but no token found at {shared_path}")
+    staged = staging_path(svc)
+    staged_dir = os.path.dirname(staged)
+    os.makedirs(staged_dir, mode=0o700, exist_ok=True)
+    os.chmod(staged_dir, 0o700)
+    shutil.move(shared_path, staged)
+    os.chmod(staged, 0o600)
 
     return VaultTokenFile(
         service=svc.name,

@@ -6,11 +6,10 @@ the two downstream consumers locate tokens differently. A node counts as
 successfully served only when both copies land.
 
 One transfer pool per run (:class:`ParallelismBudget`) runs every push
-attempt, where an attempt is both copies to one node. Its workers only copy:
-they never sleep and never touch the store. The thread that calls
-:func:`push_all` schedules its own service's nodes on that pool. It keeps a
-failed node's retry on a heap until its backoff has passed, so a retry waits
-without holding a transfer slot. Retry ``k`` waits a full-jitter draw from
+attempt, where an attempt is both copies to one node; its workers only copy.
+One :class:`PushScheduler` per run decides, from the caller's thread, what
+runs on that pool. A failed node's retry waits on its backoff heap, so it
+holds no transfer slot. Retry ``k`` waits a full-jitter draw from
 ``[0, base_backoff * 2**(k-1)]``, which keeps concurrent retries from
 synchronizing; nothing caps the window.
 """
@@ -19,21 +18,20 @@ from __future__ import annotations
 
 import collections
 import heapq
+import itertools
 import logging
 import os.path
 import random
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Collection, Optional
 
-from .config import ResolvedService, RetryPolicy
+from .config import ResolvedService
 from .credentials import VaultTokenFile, validate_token_file
 from .interfaces import Clock, TransferAdapter, TransferError, describe_error
 from .statestore import Store
 
 logger = logging.getLogger(__name__)
-
-_module_rng = random.Random()
 
 
 @dataclass(frozen=True)
@@ -109,107 +107,147 @@ def _attempt(local_path: str, dest: Destination, transfer: TransferAdapter,
         transfer.put(local_path, dest.node, path, timeout=timeout)
 
 
-def _run_inline(fn: Callable[..., None], *args: Any) -> Future:
-    """Run ``fn`` in the caller and hand back its already settled future."""
-    future: Future = Future()
-    try:
-        future.set_result(fn(*args))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
+@dataclass(eq=False)
+class ServicePush:
+    """One service's nodes in the scheduler. ``failure`` holds the first
+    error that recording one of its outcomes raised."""
+
+    svc: ResolvedService
+    token: VaultTokenFile
+    dests: list[Destination]
+    started: float
+    attempts: list[int]
+    ready: collections.deque
+    settled: dict[int, PushOutcome] = field(default_factory=dict)
+    recorded: int = 0
+    running: int = 0
+    failure: Optional[Exception] = None
 
 
-def _push(
-    token: VaultTokenFile,
-    dests: Sequence[Destination],
-    transfer: TransferAdapter,
-    retry: RetryPolicy,
-    clock: Clock,
-    rng: Optional[random.Random],
-    timeout: Optional[float],
-    submit: Callable[..., Future],
-    cap: int,
-    check_prefix: bool = False,
-) -> Iterator[tuple[int, PushOutcome]]:
-    """Drive every destination to its final outcome and yield
-    ``(index, outcome)`` as each one settles.
+class PushScheduler:
+    """Every push of one run, scheduled on its transfer pool.
 
-    The staged token is validated before any attempt, and so is its
-    ``hvs.``/``s.`` prefix when ``check_prefix`` is set. At most ``cap``
-    attempts are in flight. A ``TransferError`` is retried up to the policy;
-    any other exception fails its node at once. While attempts are in flight
-    the caller waits for the first of them to finish or for the next retry to
-    fall due; only with nothing in flight does it sleep on ``clock``, and the
-    retry it slept for then goes out even if ``clock`` did not move, so a
-    clock that never advances still finishes.
+    At most ``2 * budget.limit`` attempts are submitted at once (one running
+    and one queued per worker), ``svc.transfer_parallelism`` of them one
+    service's; free slots go to services in the order they were added. A
+    ``TransferError`` is retried up to the service's policy; any other
+    exception fails its node at once. A node's final outcome goes into its
+    persistent failure counter at the next step that hands nothing back.
     """
-    check = validate_token_file(token.path, check_prefix)
-    if not check.ok:
-        raise ValueError(f"staged token at {token.path} failed validation: {check}")
-    rng = rng if rng is not None else _module_rng
 
-    attempts = [0] * len(dests)
-    ready = collections.deque(range(len(dests)))
-    backoff: list[tuple[float, int]] = []  # (due on clock, index): a min-heap
-    in_flight: dict[Future, int] = {}
+    def __init__(self, budget: ParallelismBudget, transfer: TransferAdapter,
+                 store: Store, clock: Clock, rng: Optional[random.Random] = None):
+        self._budget = budget
+        self._transfer = transfer
+        self._store = store
+        self._clock = clock
+        self._rng = rng if rng is not None else random.Random()
+        self._open: list[ServicePush] = []
+        self._finished: list[ServicePush] = []
+        # (due on clock, tie-breaker, service, node index): a min-heap
+        self._backoff: list[tuple[float, int, ServicePush, int]] = []
+        self._order = itertools.count()
+        self._in_flight: dict[Future, tuple[ServicePush, int]] = {}
+        self._window = 2 * budget.limit
+        self._unrecorded: collections.deque[tuple[ServicePush, int]] = collections.deque()
 
-    def settle(i: int, error: Optional[str] = None) -> PushOutcome:
-        return PushOutcome(service=token.service, node=dests[i].node,
-                           success=error is None, attempts=attempts[i], error=error)
+    @property
+    def busy(self) -> bool:
+        """Some added service has not been handed back by :meth:`step` yet."""
+        return bool(self._open or self._finished)
 
-    while ready or backoff or in_flight:
-        now = clock.now()
-        while backoff and backoff[0][0] <= now:
-            ready.append(heapq.heappop(backoff)[1])
-        while ready and len(in_flight) < cap:
-            i = ready.popleft()
-            attempts[i] += 1
-            in_flight[submit(_attempt, token.path, dests[i], transfer, timeout)] = i
-        if not in_flight:
-            due, i = heapq.heappop(backoff)
-            clock.sleep(due - clock.now())
-            ready.append(i)
-            continue
-        until_due = max(0.0, backoff[0][0] - clock.now()) if backoff else None
-        done, _ = wait(in_flight, timeout=until_due, return_when=FIRST_COMPLETED)
-        for future in done:
-            i = in_flight.pop(future)
-            exc = future.exception()
-            if exc is None:
-                yield i, settle(i)
-                continue
+    def add(self, svc: ResolvedService, token: VaultTokenFile) -> None:
+        """Queue every node of ``svc``. The staged token is validated first,
+        and so is its ``hvs.``/``s.`` prefix when the service asks for it; a
+        token that fails raises ``ValueError`` before any copy."""
+        check = validate_token_file(token.path, svc.token_prefix_check)
+        if not check.ok:
+            raise ValueError(f"staged token at {token.path} failed validation: {check}")
+        dests = [compute_destinations(svc, node, token.uid) for node in svc.nodes]
+        push = ServicePush(svc, token, dests, self._clock.now(), [0] * len(dests),
+                           collections.deque(range(len(dests))))
+        (self._open if dests else self._finished).append(push)
+
+    def step(self, others: Collection[Future] = ()) -> tuple[list[ServicePush], set[Future]]:
+        """Start what may start, then wait until an attempt or one of
+        ``others`` finishes or the next retry falls due. Returns the services
+        settled since the last step and the finished ``others``. Only with
+        nothing in flight does it sleep on the clock, and the retry it slept
+        for then goes out even if the clock did not move, so a clock that
+        never advances still finishes."""
+        now = self._clock.now()
+        while self._backoff and self._backoff[0][0] <= now:
+            _, _, push, i = heapq.heappop(self._backoff)
+            push.ready.append(i)
+        self._start()
+        done: set[Future] = set()
+        if self._in_flight or others or self._unrecorded:
+            # Record one outcome per step that hands nothing back: no refill
+            # or stage hand-off then waits behind more than one store commit.
+            until_due = (0.0 if self._unrecorded else
+                         max(0.0, self._backoff[0][0] - self._clock.now())
+                         if self._backoff else None)
+            done, _ = wait([*self._in_flight, *others], timeout=until_due,
+                           return_when=FIRST_COMPLETED)
+            pushes = {f for f in done if f in self._in_flight}
+            for future in pushes:
+                self._finish(future)
+            done -= pushes
+            self._start()
+            if self._unrecorded and not done:
+                self._record(*self._unrecorded.popleft())
+        elif self._backoff:
+            due, _, push, i = heapq.heappop(self._backoff)
+            self._clock.sleep(due - self._clock.now())
+            push.ready.append(i)
+        finished, self._finished = self._finished, []
+        return finished, done
+
+    def _start(self) -> None:
+        for push in self._open:
+            while (push.ready and push.running < push.svc.transfer_parallelism
+                   and len(self._in_flight) < self._window):
+                i = push.ready.popleft()
+                push.attempts[i] += 1
+                push.running += 1
+                future = self._budget.submit(_attempt, push.token.path, push.dests[i],
+                                             self._transfer, push.svc.timeouts.transfer)
+                self._in_flight[future] = (push, i)
+            if len(self._in_flight) >= self._window:
+                return
+
+    def _finish(self, future: Future) -> None:
+        """Book a finished attempt: its node settles, or waits for a retry."""
+        push, i = self._in_flight.pop(future)
+        push.running -= 1
+        exc = future.exception()
+        error = None
+        if exc is not None:
             retryable = isinstance(exc, TransferError)
             error = str(exc) if retryable else describe_error(exc)
-            logger.warning(
-                "transfer attempt failed service=%s node=%s attempt=%d error=%s",
-                token.service, dests[i].node, attempts[i], error,
-            )
-            if retryable and attempts[i] < retry.max_attempts:
-                window = retry.base_backoff * 2 ** (attempts[i] - 1)
-                heapq.heappush(backoff, (clock.now() + rng.uniform(0, window), i))
-            else:
-                yield i, settle(i, error)
+            logger.warning("transfer attempt failed service=%s node=%s attempt=%d error=%s",
+                           push.svc.name, push.dests[i].node, push.attempts[i], error)
+            if retryable and push.attempts[i] < push.svc.retry.max_attempts:
+                window = push.svc.retry.base_backoff * 2 ** (push.attempts[i] - 1)
+                due = self._clock.now() + self._rng.uniform(0, window)
+                heapq.heappush(self._backoff, (due, next(self._order), push, i))
+                return
+        push.settled[i] = PushOutcome(service=push.svc.name, node=push.dests[i].node,
+                                      success=error is None, attempts=push.attempts[i],
+                                      error=error)
+        self._unrecorded.append((push, i))
 
-
-def push_token(
-    token: VaultTokenFile,
-    dest: Destination,
-    transfer: TransferAdapter,
-    retry: RetryPolicy,
-    clock: Clock,
-    rng: Optional[random.Random] = None,
-    timeout: Optional[float] = None,
-) -> PushOutcome:
-    """Copy the staged token to both paths on one node, with retries, in the
-    caller's thread.
-
-    One attempt means one try at *both* paths; a partial copy is a failed
-    attempt (a node holding only one of the two files is broken for one of
-    its consumers). Failure is reported in the outcome, never raised.
-    """
-    [(_, outcome)] = _push(token, [dest], transfer, retry, clock, rng, timeout,
-                           _run_inline, cap=1)
-    return outcome
+    def _record(self, push: ServicePush, i: int) -> None:
+        outcome = push.settled[i]
+        try:
+            self._store.record_push_outcome(push.svc.name, outcome.node,
+                                            outcome.success, self._clock.now())
+        except Exception as exc:
+            push.failure = push.failure or exc
+        push.recorded += 1
+        if push.recorded == len(push.dests):
+            self._open.remove(push)
+            self._finished.append(push)
 
 
 def push_all(
@@ -221,19 +259,17 @@ def push_all(
     clock: Clock,
     rng: Optional[random.Random] = None,
 ) -> list[PushOutcome]:
-    """Push to every node of the service through the run's transfer pool.
-
-    At most ``min(svc.transfer_parallelism, limiter.limit)`` of this
-    service's attempts are in flight at once. Each node's final outcome is
-    folded into its persistent failure counter as soon as it is known; one
-    node failing never stops the others. Outcomes come back in node order.
+    """Push to every node of one service: a :class:`PushScheduler` with this
+    one service in it. A partial copy is a failed attempt (a node holding one
+    of the two files is broken for one of its consumers). Outcomes come back
+    in node order.
     """
-    dests = [compute_destinations(svc, node, token.uid) for node in svc.nodes]
-    cap = min(svc.transfer_parallelism, limiter.limit)
-    settled: dict[int, PushOutcome] = {}
-    for i, outcome in _push(token, dests, transfer, svc.retry, clock, rng,
-                            svc.timeouts.transfer, limiter.submit, cap,
-                            check_prefix=svc.token_prefix_check):
-        store.record_push_outcome(svc.name, outcome.node, outcome.success, clock.now())
-        settled[i] = outcome
-    return [settled[i] for i in range(len(dests))]
+    scheduler = PushScheduler(limiter, transfer, store, clock, rng)
+    scheduler.add(svc, token)
+    finished: list[ServicePush] = []
+    while scheduler.busy:
+        finished += scheduler.step()[0]
+    (push,) = finished
+    if push.failure is not None:
+        raise push.failure
+    return [push.settled[i] for i in range(len(push.dests))]

@@ -1,32 +1,39 @@
 """Run engine behind the two executables.
 
-For token pushes, one worker thread per selected service drives the pipeline
-(resolve UID, acquire ticket, store vault tokens, fan-out push). Vault
-storing is serialized across all services by a single lock. Pushes run on
-one transfer pool per run, of ``transfer_parallelism`` workers; each
-service's pipeline thread schedules its own nodes' attempts and retries on
-it, so a run holds one thread per service, the pool's workers and the event
-consumer, whatever the number of nodes. A stage failure stops that
-service's later stages and never touches other services. Failures flow as
-ErrorEvents into one aggregator, which applies the notification threshold
-policy after all workers finish. Metrics and spans are emitted at the end and
-never fail the run.
+A token push takes every selected service through three stages, driven from
+the caller's thread:
+
+- prepare: the UID (persisted, else fetched from the registry), then the
+  Kerberos ticket, on a pool of ``min(S, transfer_parallelism)`` workers
+  that exits once its queue drains;
+- store: every vault-storer call on one storer thread, in the order the
+  services finish preparing; that one thread serializes the storer;
+- push: one run-wide :class:`~.distribution.PushScheduler` drives every
+  node's attempts and retries on the run's transfer pool.
+
+So a run holds ``transfer_parallelism + 2`` threads, plus the prepare pool
+while it drains, whatever the number of services or nodes. A stage failure
+stops that service's later stages and never touches other services. The
+notification threshold policy is applied to the run's ErrorEvents once every
+stage has finished. Metrics and spans are emitted at the end and never fail
+the run.
 """
 
 from __future__ import annotations
 
+import collections
 import logging
-import queue
 import threading
 import uuid
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Mapping, Optional
 
-from . import credentials, distribution, notifications, observability, registry
+from . import credentials, notifications, observability, registry
 from .config import (ConfigError, GlobalConfig, ResolvedService, UnknownService,
                      resolve_service)
-from .credentials import StorerLock
-from .distribution import ParallelismBudget, PushOutcome
+from .credentials import TicketCache, VaultTokenFile
+from .distribution import ParallelismBudget, PushOutcome, PushScheduler, ServicePush
 from .interfaces import AdapterBundle, describe_error
 from .notifications import STAGES, ErrorEvent
 from .registry import RefreshReport
@@ -69,36 +76,6 @@ class RunReport:
         return all(r.success for results in self.per_service.values() for r in results)
 
 
-class EventStream:
-    """Funnel for ErrorEvents: many producers, exactly one consumer thread.
-
-    Workers emit concurrently; ``close()`` waits for the consumer to drain
-    everything and hands back the collected events.
-    """
-
-    def __init__(self) -> None:
-        self._queue: "queue.Queue[Optional[ErrorEvent]]" = queue.Queue()
-        self._events: list[ErrorEvent] = []
-        self._consumer = threading.Thread(
-            target=self._drain, name="event-aggregator", daemon=True)
-        self._consumer.start()
-
-    def emit(self, event: ErrorEvent) -> None:
-        self._queue.put(event)
-
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            self._events.append(item)
-
-    def close(self) -> tuple[ErrorEvent, ...]:
-        self._queue.put(None)
-        self._consumer.join()
-        return tuple(self._events)
-
-
 def order_services(config: GlobalConfig, selection: Optional[Iterable[str]] = None) -> list[str]:
     """Deterministic (lexicographic) service order, optionally filtered."""
     names = sorted(config.services)
@@ -111,112 +88,117 @@ def order_services(config: GlobalConfig, selection: Optional[Iterable[str]] = No
     return [name for name in names if name in wanted]
 
 
-def _run_service_pipeline(
-    svc: ResolvedService,
-    config: GlobalConfig,
-    deps: AdapterBundle,
-    store: Store,
-    events: EventStream,
-    storer_lock: StorerLock,
-    budget: ParallelismBudget,
-    dry_run: bool,
-    cancel: Optional[threading.Event],
-) -> tuple[list[StageResult], list[PushOutcome]]:
-    """One service's stages in order; never raises, never affects siblings."""
-    clock = deps.clock
-    results: list[StageResult] = []
-    outcomes: list[PushOutcome] = []
+@dataclass
+class _Stages:
+    """The stage handlers of one run. A service's stages run one after
+    another, each on its own stage's thread, and each appends to that
+    service's results and to the run's events."""
 
-    def record_failure(stage: str, started: float, message: str,
-                       nodes: tuple[Optional[str], ...] = (None,)) -> None:
-        ended = clock.now()
-        results.append(StageResult(svc.name, stage, False, started, ended, message))
-        logger.error("stage failed service=%s stage=%s error=%s",
-                     svc.name, stage, message)
-        for node in nodes:
-            events.emit(ErrorEvent(service=svc.name, stage=stage, node=node,
-                                   message=message, occurred_at=ended))
+    config: GlobalConfig
+    deps: AdapterBundle
+    store: Store
+    dry_run: bool
+    cancel: Optional[threading.Event]
+    results: dict[str, list[StageResult]] = field(
+        default_factory=lambda: collections.defaultdict(list))
+    outcomes: dict[str, list[PushOutcome]] = field(default_factory=dict)
+    events: list[ErrorEvent] = field(default_factory=list)
 
-    def aborted(stage: str) -> bool:
-        if cancel is None or not cancel.is_set():
+    def record(self, name: str, stage: str, started: float, detail: str,
+               errors: Optional[Mapping[Optional[str], str]] = None) -> None:
+        """One stage's result. ``errors`` is None on success, else it maps
+        each failed node, or None for the whole service, to its error."""
+        ended = self.deps.clock.now()
+        self.results[name].append(
+            StageResult(name, stage, errors is None, started, ended, detail))
+        if errors is not None:
+            logger.error("stage failed service=%s stage=%s error=%s", name, stage, detail)
+            self.events.extend([ErrorEvent(service=name, stage=stage, node=node,
+                                           message=error, occurred_at=ended)
+                                for node, error in errors.items()])
+
+    def aborted(self, name: str, stage: str) -> bool:
+        if self.cancel is None or not self.cancel.is_set():
             return False
-        now = clock.now()
-        results.append(StageResult(svc.name, stage, False, now, now,
-                                   "aborted: shutdown requested"))
-        logger.warning("stage aborted service=%s stage=%s", svc.name, stage)
+        now = self.deps.clock.now()
+        self.results[name].append(StageResult(name, stage, False, now, now,
+                                              "aborted: shutdown requested"))
+        logger.warning("stage aborted service=%s stage=%s", name, stage)
         return True
 
-    # UID: prefer the persisted mapping, fall back to a live registry fetch.
-    # The registry stage only appears in the report when the fallback ran.
-    if aborted("registry"):
-        return results, outcomes
-    uid = store.lookup_uid(svc.account)
-    if uid is None:
-        started = clock.now()
+    def stage(self, name: str, stage: str, call: Callable[[], Any],
+              detail: Callable[[Any], str], prefix: str = "") -> Any:
+        """Run one stage unless shutdown was requested; None stops the service."""
+        if self.aborted(name, stage):
+            return None
+        started = self.deps.clock.now()
         try:
-            uid = registry.fetch_uid(config.registry, deps.http, svc.account)
+            result = call()
         except Exception as exc:
-            record_failure("registry", started,
-                           f"uid for account {svc.account!r} unavailable: "
-                           f"{describe_error(exc)}")
-            return results, outcomes
-        store.upsert_uid(svc.account, uid, clock.now())
-        results.append(StageResult(svc.name, "registry", True, started, clock.now(),
-                                   f"fetched uid {uid} for account {svc.account}"))
+            message = prefix + describe_error(exc)
+            self.record(name, stage, started, message, {None: message})
+            return None
+        self.record(name, stage, started, detail(result))
+        return result
 
-    if aborted("ticket"):
-        return results, outcomes
-    started = clock.now()
-    try:
-        ticket = credentials.acquire_ticket(svc, deps.runner, clock)
-    except Exception as exc:
-        record_failure("ticket", started, describe_error(exc))
-        return results, outcomes
-    results.append(StageResult(svc.name, "ticket", True, started, clock.now(),
-                               f"cache {ticket.cache_path}"))
+    def prepare(self, svc: ResolvedService, storer: ThreadPoolExecutor) -> Optional[Future]:
+        """UID, then ticket, on the prepare pool; then queue the service at the
+        storer from here, so the storer never waits on the caller's thread."""
+        # Prefer the persisted mapping, fall back to a live registry fetch.
+        # The registry stage only appears in the report when the fallback ran.
+        uid = self.store.lookup_uid(svc.account)
+        if uid is None:
+            uid = self.stage(
+                svc.name, "registry",
+                lambda: registry.fetch_uid(self.config.registry, self.deps.http, svc.account),
+                lambda uid: f"fetched uid {uid} for account {svc.account}",
+                f"uid for account {svc.account!r} unavailable: ")
+            if uid is None:
+                return None
+            self.store.upsert_uid(svc.account, uid, self.deps.clock.now())
+        ticket = self.stage(
+            svc.name, "ticket",
+            lambda: credentials.acquire_ticket(svc, self.deps.runner, self.deps.clock),
+            lambda ticket: f"cache {ticket.cache_path}")
+        return None if ticket is None else storer.submit(self.store_tokens, svc, uid, ticket)
 
-    if aborted("vault_store"):
-        return results, outcomes
-    started = clock.now()
-    try:
-        token = credentials.store_vault_tokens(
-            svc, uid, ticket, deps.runner, storer_lock, clock)
-    except Exception as exc:
-        record_failure("vault_store", started, describe_error(exc))
-        return results, outcomes
-    results.append(StageResult(svc.name, "vault_store", True, started, clock.now(),
-                               f"staged at {token.path}"))
+    def store_tokens(self, svc: ResolvedService, uid: int,
+                     ticket: TicketCache) -> Optional[VaultTokenFile]:
+        """The vault-storer calls; on the storer thread."""
+        return self.stage(
+            svc.name, "vault_store",
+            lambda: credentials.store_vault_tokens(svc, uid, ticket, self.deps.runner,
+                                                   self.deps.clock),
+            lambda token: f"staged at {token.path}")
 
-    if dry_run:
-        logger.info("dry run: push skipped service=%s nodes=%d",
-                    svc.name, len(svc.nodes))
-        return results, outcomes
-    if aborted("push"):
-        return results, outcomes
-    started = clock.now()
-    try:
-        svc_outcomes = distribution.push_all(
-            svc, token, store, deps.transfer, budget, clock, rng=deps.rng)
-    except Exception as exc:
-        # Raised by the push as a whole (a bad staged token, say), not by
-        # one node: report it against every node of the service.
-        record_failure("push", started, describe_error(exc), nodes=svc.nodes)
-        return results, outcomes
-    outcomes.extend(svc_outcomes)
-    ended = clock.now()
-    failed = [o for o in svc_outcomes if not o.success]
-    if failed:
-        detail = "failed nodes: " + ", ".join(sorted(o.node for o in failed))
-        results.append(StageResult(svc.name, "push", False, started, ended, detail))
-        logger.error("stage failed service=%s stage=push error=%s", svc.name, detail)
-        for outcome in failed:
-            events.emit(ErrorEvent(
-                service=svc.name, stage="push", node=outcome.node,
-                message=outcome.error or "transfer failed", occurred_at=ended))
-    else:
-        results.append(StageResult(svc.name, "push", True, started, ended,
-                                   f"{len(svc_outcomes)} node(s)"))
-    return results, outcomes
+    def start_push(self, svc: ResolvedService, token: VaultTokenFile,
+                   pushes: PushScheduler) -> None:
+        if self.dry_run:
+            logger.info("dry run: push skipped service=%s nodes=%d",
+                        svc.name, len(svc.nodes))
+        elif not self.aborted(svc.name, "push"):
+            started = self.deps.clock.now()
+            try:
+                pushes.add(svc, token)
+            except Exception as exc:
+                # Raised by the push as a whole (a bad staged token, say), not
+                # by one node: report it against every node of the service.
+                message = describe_error(exc)
+                self.record(svc.name, "push", started, message,
+                            dict.fromkeys(svc.nodes, message))
+
+    def pushed(self, push: ServicePush) -> None:
+        name = push.svc.name
+        outcomes = self.outcomes[name] = [push.settled[i] for i in sorted(push.settled)]
+        failed = {o.node: o.error or "transfer failed" for o in outcomes if not o.success}
+        if push.failure is not None:
+            detail = describe_error(push.failure)
+            failed = dict.fromkeys(push.svc.nodes, detail)
+        elif failed:
+            detail = "failed nodes: " + ", ".join(sorted(failed))
+        else:
+            detail, failed = f"{len(outcomes)} node(s)", None
+        self.record(name, "push", push.started, detail, failed)
 
 
 def run_token_push(
@@ -247,54 +229,50 @@ def run_token_push(
 
     logger.info("run started run_id=%s services=%d dry_run=%s",
                 run_id, len(names), dry_run)
-    events = EventStream()
-    storer_lock = StorerLock()
-    results_by_name: dict[str, list[StageResult]] = {name: [] for name in names}
-    outcomes_by_name: dict[str, list[PushOutcome]] = {name: [] for name in names}
-
+    stages = _Stages(config, deps, store, dry_run, cancel)
+    parallelism = config.transfer_parallelism
     try:
-        def worker(name: str, budget: ParallelismBudget) -> None:
-            try:
-                results, outcomes = _run_service_pipeline(
-                    resolved[name], config, deps, store, events, storer_lock,
-                    budget, dry_run, cancel)
-                results_by_name[name] = results
-                outcomes_by_name[name] = outcomes
-            except Exception:
-                # Last-resort isolation; stages catch their own errors, so
-                # reaching this means a bug in the pipeline plumbing itself.
-                logger.exception("pipeline crashed service=%s", name)
+        with ParallelismBudget(parallelism) as budget, \
+                ThreadPoolExecutor(1, thread_name_prefix="storer") as storer, \
+                ThreadPoolExecutor(min(len(names), parallelism), "prepare") as prepare:
+            pushes = PushScheduler(budget, deps.transfer, store, clock, deps.rng)
+            # A pending future -> its service. A prepare future's result is
+            # the storer future, whose result is the staged token.
+            pending: dict[Future, ResolvedService] = {
+                prepare.submit(stages.prepare, resolved[name], storer): resolved[name]
+                for name in names}
+            prepare.shutdown(wait=False)  # its workers exit once its queue drains
+            while pending or pushes.busy:
+                finished, done = pushes.step(pending)
+                for push in finished:
+                    stages.pushed(push)
+                for future in done:
+                    svc = pending.pop(future)
+                    try:
+                        result = future.result()
+                    except Exception:  # a bug in the stage plumbing itself
+                        logger.exception("pipeline crashed service=%s", svc.name)
+                        continue
+                    if isinstance(result, Future):
+                        pending[result] = svc
+                    elif result is not None:
+                        stages.start_push(svc, result, pushes)
 
-        with ParallelismBudget(config.transfer_parallelism) as budget:
-            threads = [
-                threading.Thread(target=worker, args=(name, budget),
-                                 name=f"pipeline-{name}")
-                for name in names
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-
-        raw_events = events.close()
         sent = 0
         if not dry_run:
             batches, summary = notifications.aggregate(
-                raw_events, store, config, run_id, clock.now())
+                stages.events, store, config, run_id, clock.now())
             sent = notifications.dispatch(batches, summary, deps.sink)
     finally:
         store.close()
 
-    push_outcomes: list[PushOutcome] = []
-    for name in names:
-        push_outcomes.extend(outcomes_by_name[name])
     report = RunReport(
         run_id=run_id,
         started=started,
         ended=clock.now(),
-        per_service={name: tuple(results_by_name[name]) for name in names},
-        push_outcomes=tuple(push_outcomes),
-        notifications_sent=sent if not dry_run else 0,
+        per_service={name: tuple(stages.results[name]) for name in names},
+        push_outcomes=tuple(o for name in names for o in stages.outcomes.get(name, ())),
+        notifications_sent=sent,
     )
     logger.info("run finished run_id=%s ok=%s notifications=%d",
                 run_id, report.ok, report.notifications_sent)

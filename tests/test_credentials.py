@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import os
-import threading
-import time
 
 import pytest
 
 from managed_tokens import simkit
-from managed_tokens.config import resolve_service
+from managed_tokens.config import CommandTemplates, resolve_service
 from managed_tokens.credentials import (
     CommandFailed,
     CredentialError,
@@ -17,7 +15,6 @@ from managed_tokens.credentials import (
     InvalidPrincipal,
     KerberosPrincipal,
     KeytabMissing,
-    StorerLock,
     TicketCache,
     TokenNotProduced,
     acquire_ticket,
@@ -31,8 +28,6 @@ from managed_tokens.credentials import (
     validate_token_file,
 )
 from managed_tokens.interfaces import CommandTimeout, Invocation
-
-from conftest import assert_pairwise_disjoint
 
 
 class EnvRecorder:
@@ -92,6 +87,31 @@ class TestRenderCommand:
     def test_unknown_placeholder(self):
         with pytest.raises(CredentialError, match="placeholder"):
             render_command("run {mystery}", {})
+
+    def test_quoted_ssh_option_stays_one_argument(self):
+        argv = render_command(
+            'rsync -p -e "ssh -o ControlMaster=auto" {local} {node}:{remote}',
+            {"local": "/s/tok", "node": "n1", "remote": "/tmp/vt_u1"})
+        assert argv == ("rsync", "-p", "-e", "ssh -o ControlMaster=auto",
+                        "/s/tok", "n1:/tmp/vt_u1")
+
+    def test_substituted_value_with_spaces_inside_quotes(self):
+        argv = render_command("copy '{local}' {node}",
+                              {"local": "/dir with spaces/tok", "node": "n1"})
+        assert argv == ("copy", "/dir with spaces/tok", "n1")
+
+    def test_unbalanced_quote_names_the_template(self):
+        template = 'rsync -e "ssh {local} {node}:{remote}'
+        with pytest.raises(CredentialError, match="rsync -e"):
+            render_command(template, {"local": "l", "node": "n", "remote": "r"})
+
+    def test_default_templates_split_on_whitespace_as_before(self):
+        values = {"keytab": "/k", "cache": "/c", "principal": "p@R",
+                  "service": "svc", "local": "/l", "node": "n", "remote": "/r"}
+        defaults = CommandTemplates()
+        for template in (defaults.ticket, defaults.storer, defaults.transfer):
+            assert render_command(template, values) == tuple(
+                token.format(**values) for token in template.split())
 
 
 class TestAcquireTicket:
@@ -163,8 +183,7 @@ class TestStoreVaultTokens:
         runner = simkit.scripted_runner(simkit.always_succeed(),
                                         side_effects=simkit.write_token_from_env(),
                                         clock=clock)
-        token = store_vault_tokens(svc, 4521, make_ticket(svc), runner,
-                                   StorerLock(), clock)
+        token = store_vault_tokens(svc, 4521, make_ticket(svc), runner, clock)
         assert len(runner.log.entries()) == 2
         assert all(e.args == ("condor_vault_storer", "dune_production")
                    for e in runner.log.entries())
@@ -182,7 +201,7 @@ class TestStoreVaultTokens:
         clock = simkit.FixedClock()
         runner = simkit.scripted_runner(simkit.always_succeed(),
                                         side_effects=recorder, clock=clock)
-        store_vault_tokens(svc, 4521, make_ticket(svc), runner, StorerLock(), clock)
+        store_vault_tokens(svc, 4521, make_ticket(svc), runner, clock)
         assert [env["_condor_CREDD_HOST"] for env in recorder.envs] == list(credds)
         shared = default_token_path(svc, 4521)
         for env in recorder.envs:
@@ -199,8 +218,7 @@ class TestStoreVaultTokens:
         clock = simkit.FixedClock()
         runner = simkit.scripted_runner(schedule, clock=clock)
         with pytest.raises(CommandFailed, match="CRED_ADD"):
-            store_vault_tokens(svc, 4521, make_ticket(svc), runner,
-                               StorerLock(), clock)
+            store_vault_tokens(svc, 4521, make_ticket(svc), runner, clock)
         assert len(runner.log.entries()) == 1
         assert not os.path.exists(staging_path(svc))
 
@@ -216,7 +234,7 @@ class TestStoreVaultTokens:
 
         with pytest.raises(InteractiveAuthRequired) as err:
             store_vault_tokens(svc, 4521, make_ticket(svc), PromptingRunner(),
-                               StorerLock(), simkit.FixedClock())
+                               simkit.FixedClock())
         assert "vault.example.org" in str(err.value)
         assert not os.path.exists(staging_path(svc))
 
@@ -231,15 +249,14 @@ class TestStoreVaultTokens:
 
         with pytest.raises(InteractiveAuthRequired):
             store_vault_tokens(svc, 4521, make_ticket(svc), FailingPromptRunner(),
-                               StorerLock(), simkit.FixedClock())
+                               simkit.FixedClock())
 
     def test_exit_zero_without_token_file(self, site):
         svc = one_service(site)
         clock = simkit.FixedClock()
         runner = simkit.scripted_runner(simkit.always_succeed(), clock=clock)
         with pytest.raises(TokenNotProduced, match="vt_u4521"):
-            store_vault_tokens(svc, 4521, make_ticket(svc), runner,
-                               StorerLock(), clock)
+            store_vault_tokens(svc, 4521, make_ticket(svc), runner, clock)
 
     def test_empty_token_file_counts_as_not_produced(self, site):
         svc = one_service(site)
@@ -248,44 +265,7 @@ class TestStoreVaultTokens:
             simkit.always_succeed(),
             side_effects=simkit.write_token_from_env(content=b""), clock=clock)
         with pytest.raises(TokenNotProduced):
-            store_vault_tokens(svc, 4521, make_ticket(svc), runner,
-                               StorerLock(), clock)
-
-    def test_reentrant_under_an_already_held_lock(self, site):
-        svc = one_service(site)
-        clock = simkit.FixedClock()
-        runner = simkit.scripted_runner(simkit.always_succeed(),
-                                        side_effects=simkit.write_token_from_env(),
-                                        clock=clock)
-        lock = StorerLock()
-        with lock:
-            token = store_vault_tokens(svc, 4521, make_ticket(svc), runner,
-                                       lock, clock)
-        assert os.path.isfile(token.path)
-
-    def test_concurrent_services_serialize_on_the_lock(self, site):
-        site.add_service("dune_production")
-        site.add_service("mu2e_production")
-        cfg = site.config()
-        lock = StorerLock()
-        schedule = simkit.FaultSchedule("s", (simkit.delay(0.03),))
-        runner = simkit.scripted_runner(schedule,
-                                        side_effects=simkit.write_token_from_env())
-        clock = simkit.SystemClock()
-
-        def work(name, uid):
-            svc = resolve_service(cfg, name)
-            store_vault_tokens(svc, uid, make_ticket(svc), runner, lock, clock)
-
-        threads = [threading.Thread(target=work, args=("dune_production", 1)),
-                   threading.Thread(target=work, args=("mu2e_production", 2))]
-        start = time.monotonic()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert_pairwise_disjoint([(e.start, e.end) for e in runner.log.entries()])
-        assert time.monotonic() - start >= 0.06
+            store_vault_tokens(svc, 4521, make_ticket(svc), runner, clock)
 
 
 class TestValidateTokenFile:

@@ -6,22 +6,24 @@ import os
 import random
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from managed_tokens import simkit
-from managed_tokens.config import RetryPolicy, resolve_service
+from managed_tokens.config import resolve_service
 from managed_tokens.credentials import VaultTokenFile
 from managed_tokens.distribution import (
     Destination,
     ParallelismBudget,
     compute_destinations,
     push_all,
-    push_token,
 )
 from managed_tokens.statestore import open_store
+
+from conftest import Site
 
 
 def one_service(site, name="dune_production", **add_kwargs):
@@ -29,17 +31,16 @@ def one_service(site, name="dune_production", **add_kwargs):
     return resolve_service(site.config(), name)
 
 
-@pytest.fixture
-def staged_token(tmp_path):
-    path = tmp_path / "vaulttoken"
+def stage_token(path):
     path.write_bytes(b"hvs.staged-token\n")
     os.chmod(path, 0o600)
     return VaultTokenFile(service="dune_production", path=str(path),
                           acquired_at=0.0, lifetime=604800.0, uid=4521)
 
 
-def retry(max_attempts=3, base_backoff=0.01):
-    return RetryPolicy(max_attempts=max_attempts, base_backoff=base_backoff)
+@pytest.fixture
+def staged_token(tmp_path):
+    return stage_token(tmp_path / "vaulttoken")
 
 
 class TestDestinations:
@@ -88,78 +89,83 @@ class TestDestinations:
 
 
 class TestPushToken:
-    def dest(self):
-        return Destination(node="submit1.example.org",
-                           paths=("/tmp/vt_u4521", "/tmp/vt_u4521-iss_role"))
+    """One token to one node: ``push_all`` with a one-node service, which runs
+    the same scheduler as a whole run."""
 
-    def test_happy_path_lands_both_copies(self, staged_token):
+    NODE = "submit1.example.org"
+
+    def push(self, site, token, transfer, clock, max_attempts=3,
+             base_backoff="10ms", rng=None):
+        svc = one_service(site, nodes=(self.NODE,),
+                          overrides={"retry.max_attempts": max_attempts,
+                                     "retry.base_backoff": base_backoff})
+        with open_store(str(site.state_dir)) as store, ParallelismBudget(1) as budget:
+            (outcome,) = push_all(svc, token, store, transfer, budget, clock, rng=rng)
+        return outcome
+
+    def test_happy_path_lands_both_copies(self, site, staged_token):
         transfer = simkit.memory_transfer()
-        outcome = push_token(staged_token, self.dest(), transfer, retry(),
-                             simkit.FixedClock())
+        outcome = self.push(site, staged_token, transfer, simkit.FixedClock())
         assert outcome.success and outcome.attempts == 1
-        node = "submit1.example.org"
-        assert transfer.get(node, "/tmp/vt_u4521") == b"hvs.staged-token\n"
-        assert transfer.get(node, "/tmp/vt_u4521-iss_role") == b"hvs.staged-token\n"
+        user_path = f"{site.tmp_dir}/vt_u4521"
+        assert transfer.get(self.NODE, user_path) == b"hvs.staged-token\n"
+        assert (transfer.get(self.NODE, f"{user_path}-dunevault_production")
+                == b"hvs.staged-token\n")
 
-    def test_fail_once_then_succeed(self, staged_token):
+    def test_fail_once_then_succeed(self, site, staged_token):
         # Schedules index per put call: attempt 1 is one failed put, attempt 2
         # is two successful puts (one per destination path).
-        faults = {"submit1.example.org": simkit.FaultSchedule(
+        faults = {self.NODE: simkit.FaultSchedule(
             "t", (simkit.fail("connection reset"), simkit.succeed(),
                   simkit.succeed()))}
         clock = simkit.FixedClock(advance_on_sleep=True)
         transfer = simkit.memory_transfer(faults=faults, clock=clock)
-        outcome = push_token(staged_token, self.dest(), transfer, retry(), clock,
-                             rng=random.Random(1))
+        outcome = self.push(site, staged_token, transfer, clock, rng=random.Random(1))
         assert outcome.success
         assert outcome.attempts == 2
         assert outcome.error is None
 
-    def test_always_failing_node(self, staged_token):
-        faults = {"submit1.example.org": simkit.FaultSchedule(
+    def test_always_failing_node(self, site, staged_token):
+        faults = {self.NODE: simkit.FaultSchedule(
             "t", (simkit.fail("no route to host"),))}
         clock = simkit.FixedClock(advance_on_sleep=True)
         transfer = simkit.memory_transfer(faults=faults, clock=clock)
-        outcome = push_token(staged_token, self.dest(), transfer, retry(), clock,
-                             rng=random.Random(1))
+        outcome = self.push(site, staged_token, transfer, clock, rng=random.Random(1))
         assert not outcome.success
         assert outcome.attempts == 3
         assert "no route to host" in outcome.error
         assert transfer.files() == {}
 
-    def test_partial_copy_is_a_failed_attempt(self, staged_token):
+    def test_partial_copy_is_a_failed_attempt(self, site, staged_token):
         # Second put of each attempt fails; the attempt never counts.
-        faults = {"submit1.example.org": simkit.FaultSchedule(
+        faults = {self.NODE: simkit.FaultSchedule(
             "t", (simkit.succeed(), simkit.fail("quota")))}
         clock = simkit.FixedClock(advance_on_sleep=True)
         transfer = simkit.memory_transfer(faults=faults, clock=clock)
-        outcome = push_token(staged_token, self.dest(), transfer,
-                             retry(max_attempts=2), clock, rng=random.Random(1))
+        outcome = self.push(site, staged_token, transfer, clock, max_attempts=2,
+                            rng=random.Random(1))
         assert not outcome.success
         assert outcome.attempts == 2
 
-    def test_missing_staged_token_is_a_caller_bug(self, tmp_path):
+    def test_missing_staged_token_is_a_caller_bug(self, site, tmp_path):
         token = VaultTokenFile("svc", str(tmp_path / "gone"), 0.0, 1.0, 4521)
         with pytest.raises(ValueError, match="validation"):
-            push_token(token, self.dest(), simkit.memory_transfer(), retry(),
-                       simkit.FixedClock())
+            self.push(site, token, simkit.memory_transfer(), simkit.FixedClock())
 
-    def test_world_readable_staged_token_rejected(self, staged_token):
+    def test_world_readable_staged_token_rejected(self, site, staged_token):
         os.chmod(staged_token.path, 0o644)
         with pytest.raises(ValueError):
-            push_token(staged_token, self.dest(), simkit.memory_transfer(),
-                       retry(), simkit.FixedClock())
+            self.push(site, staged_token, simkit.memory_transfer(),
+                      simkit.FixedClock())
 
-    def test_backoff_windows_double_per_attempt(self, staged_token):
+    def test_backoff_windows_double_per_attempt(self, site, staged_token):
         """Replay the jitter draws with an identically seeded RNG and compare
         the slept durations against the full-jitter windows."""
-        faults = {"submit1.example.org": simkit.FaultSchedule(
-            "t", (simkit.fail("down"),))}
+        faults = {self.NODE: simkit.FaultSchedule("t", (simkit.fail("down"),))}
         clock = simkit.FixedClock(advance_on_sleep=True)
         transfer = simkit.memory_transfer(faults=faults, clock=clock)
-        policy = retry(max_attempts=4, base_backoff=1.0)
-        push_token(staged_token, self.dest(), transfer, policy, clock,
-                   rng=random.Random(42))
+        self.push(site, staged_token, transfer, clock, max_attempts=4,
+                  base_backoff="1s", rng=random.Random(42))
         slept = clock.now() - simkit.FixedClock().now()
         reference = random.Random(42)
         expected = sum(reference.uniform(0, 1.0 * 2 ** k) for k in range(3))
@@ -169,18 +175,12 @@ class TestPushToken:
            max_attempts=st.integers(min_value=1, max_value=5))
     def test_attempt_count_never_exceeds_policy(self, seed, max_attempts):
         clock = simkit.FixedClock(advance_on_sleep=True)
-        faults = {"n": simkit.FaultSchedule("t", (simkit.fail("x"),))}
+        faults = {self.NODE: simkit.FaultSchedule("t", (simkit.fail("x"),))}
         transfer = simkit.memory_transfer(faults=faults, clock=clock)
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "tok")
-            with open(path, "wb") as fh:
-                fh.write(b"hvs.t\n")
-            os.chmod(path, 0o600)
-            token = VaultTokenFile("svc", path, 0.0, 1.0, 1)
-            outcome = push_token(
-                token, Destination("n", ("/a", "/b")), transfer,
-                retry(max_attempts=max_attempts), clock,
-                rng=random.Random(seed))
+            token = stage_token(Path(tmp) / "tok")
+            outcome = self.push(Site(Path(tmp)), token, transfer, clock,
+                                max_attempts=max_attempts, rng=random.Random(seed))
         assert outcome.attempts == max_attempts
         assert not outcome.success
 

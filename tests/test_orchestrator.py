@@ -8,11 +8,9 @@ import threading
 
 import pytest
 
-from managed_tokens import credentials, simkit
+from managed_tokens import credentials, simkit, statestore
 from managed_tokens.config import UnknownService
-from managed_tokens.notifications import ErrorEvent
 from managed_tokens.orchestrator import (
-    EventStream,
     FatalSetupError,
     RunReport,
     StageResult,
@@ -261,6 +259,54 @@ class TestFailureIsolation:
         assert len(bundle.transfer.log.entries()) == 4  # 2 nodes x 2 copies
         with open_store(cfg.state_dir) as store:
             assert [c.consecutive_failures for c in store.counters()] == [0, 0]
+
+    def test_plumbing_crash_in_one_service_leaves_the_others(self, site, monkeypatch,
+                                                               caplog):
+        site.add_service("dune_production")
+        site.add_service("mu2e_production")
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+        lookup_uid = statestore.Store.lookup_uid
+
+        def broken_for_dune(self, account):
+            if account == "duneprod":
+                raise RuntimeError("lookup exploded")
+            return lookup_uid(self, account)
+
+        monkeypatch.setattr(statestore.Store, "lookup_uid", broken_for_dune)
+        bundle = make_bundle()
+        with caplog.at_level("ERROR", logger="managed_tokens"):
+            report = run_token_push(cfg, bundle)
+        assert report.per_service["dune_production"] == ()
+        assert all(r.success for r in report.per_service["mu2e_production"])
+        assert {o.service for o in report.push_outcomes} == {"mu2e_production"}
+        assert any("pipeline crashed service=dune_production" in r.message
+                   for r in caplog.records)
+
+    def test_failed_counter_write_fails_only_that_services_push(self, site,
+                                                                monkeypatch):
+        site.add_service("dune_production")
+        site.add_service("mu2e_production")
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+        record = statestore.Store.record_push_outcome
+
+        def broken_for_dune(self, service, node, success, now):
+            if service == "dune_production":
+                raise statestore.StoreError("disk full")
+            return record(self, service, node, success, now)
+
+        monkeypatch.setattr(statestore.Store, "record_push_outcome", broken_for_dune)
+        bundle = make_bundle()
+        report = run_token_push(cfg, bundle)
+        push_result = report.per_service["dune_production"][-1]
+        assert push_result.stage == "push" and not push_result.success
+        assert push_result.detail == "StoreError: disk full"
+        assert all(r.success for r in report.per_service["mu2e_production"])
+        # The copies still landed; only their counters could not be written.
+        assert len(bundle.transfer.log.entries()) == 8
+        (summary,) = bundle.sink.messages
+        assert summary.body.count("disk full") == 2  # one line per node
 
     def test_every_stage_failure_logs_at_error_exactly_once(self, site, caplog):
         site.add_service("dune_production")
@@ -532,27 +578,6 @@ class TestBuildSpans:
         assert spans[-1].attributes["detail"] == "failed nodes: n"
 
 
-class TestEventStream:
-    def test_concurrent_emitters_all_collected(self):
-        stream = EventStream()
-
-        def emitter(i):
-            for j in range(50):
-                stream.emit(ErrorEvent(f"svc{i}", "ticket", f"e{j}", float(j)))
-
-        threads = [threading.Thread(target=emitter, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        events = stream.close()
-        assert len(events) == 200
-        assert isinstance(events, tuple)
-
-    def test_close_with_nothing_emitted(self):
-        assert EventStream().close() == ()
-
-
 class TestStageResultInvariants:
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError, match="stage"):
@@ -619,6 +644,52 @@ class TestConcurrency:
             for (a_start, a_end), (b_start, b_end) in zip(ticket_intervals,
                                                           ticket_intervals[1:]))
         assert overlapping, "expected ticket acquisitions to overlap in time"
+
+    @staticmethod
+    def peak_threads_in_put(site, services, nodes, parallelism):
+        """Run S services of N nodes on a pool of P; return the run's report,
+        the thread count before it, and the peak count seen in ``put``."""
+        node_names = tuple(f"submit{j:02d}.example.org" for j in range(nodes))
+        for i in range(services):
+            site.add_service(f"svc{i}_production", nodes=node_names)
+        cfg = site.config(transfer_parallelism=parallelism)
+        site.seed_uids(site.uid_map())
+        bundle = make_bundle(
+            clock=simkit.SystemClock(),
+            transfer_faults={n: simkit.FaultSchedule("t", (simkit.delay(0.002),))
+                             for n in node_names})
+        inner = bundle.transfer
+        mutex = threading.Lock()
+        peak = [0]
+
+        class CountingTransfer:
+            def put(self, local_path, node, remote_path, timeout=None):
+                with mutex:
+                    peak[0] = max(peak[0], threading.active_count())
+                inner.put(local_path, node, remote_path, timeout=timeout)
+
+        bundle.transfer = CountingTransfer()
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = run_token_push(cfg, bundle)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.ok
+        assert all(len(results) == 3 for results in report.per_service.values())
+        assert len(report.push_outcomes) == services * nodes
+        assert inner.high_water <= parallelism
+        assert threading.active_count() == before
+        return before, peak[0]
+
+    @pytest.mark.parametrize("services", [6, 24])
+    def test_thread_count_is_independent_of_services(self, site, services):
+        parallelism = 2
+        before, peak = self.peak_threads_in_put(site, services, 12, parallelism)
+        # The storer, the transfer pool and a prepare pool of at most P
+        # workers that is still draining; never a thread per service.
+        assert peak <= before + 2 * parallelism + 1
 
     def test_thread_count_is_bounded_by_services_and_pool(self, site):
         services, nodes, parallelism = 6, 12, 2
