@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .config import ResolvedService
-from .interfaces import Clock, CommandRunner, Invocation
+from .interfaces import CommandRunner, Invocation
 
 logger = logging.getLogger(__name__)
 
@@ -33,10 +33,6 @@ CREDD_HOST_ENV = "_condor_CREDD_HOST"
 DEFAULT_TOKEN_PATH_ENV = "MANAGED_TOKENS_DEFAULT_TOKEN_PATH"
 VAULT_LOCAL_SECONDS_ENV = "MANAGED_TOKENS_VAULT_LOCAL_SECONDS"
 VAULT_CREDD_SECONDS_ENV = "MANAGED_TOKENS_VAULT_CREDD_SECONDS"
-
-# Kerberos ticket lifetime is site policy, not ours to choose; 24 h is the
-# common kinit default and only informs TicketCache.valid_until.
-TICKET_LIFETIME = 24 * 3600.0
 
 ACCEPTED_TOKEN_PREFIXES = ("hvs.", "s.")
 
@@ -87,10 +83,7 @@ class KerberosPrincipal:
 
 @dataclass(frozen=True)
 class TicketCache:
-    service: str
     cache_path: str
-    acquired_at: float
-    valid_until: float
 
     def env(self) -> dict[str, str]:
         """Environment designation downstream commands inherit."""
@@ -99,10 +92,7 @@ class TicketCache:
 
 @dataclass(frozen=True)
 class VaultTokenFile:
-    service: str
     path: str
-    acquired_at: float
-    lifetime: float
     uid: int
 
 
@@ -164,7 +154,7 @@ def default_token_path(svc: ResolvedService, uid: int) -> str:
     return svc.default_token_path.format(tmp_dir=svc.tmp_dir, uid=uid)
 
 
-def acquire_ticket(svc: ResolvedService, runner: CommandRunner, clock: Clock) -> TicketCache:
+def acquire_ticket(svc: ResolvedService, runner: CommandRunner) -> TicketCache:
     """Obtain a Kerberos ticket for the service from its keytab.
 
     The cache path is private to the service, so concurrent pipelines never
@@ -185,9 +175,7 @@ def acquire_ticket(svc: ResolvedService, runner: CommandRunner, clock: Clock) ->
                      timeout=svc.timeouts.ticket)
     if inv.exit_code != 0:
         raise CommandFailed(inv)
-    now = clock.now()
-    return TicketCache(service=svc.name, cache_path=cache, acquired_at=now,
-                       valid_until=now + TICKET_LIFETIME)
+    return TicketCache(cache_path=cache)
 
 
 def _oidc_prompt_line(inv: Invocation, pattern: str) -> Optional[str]:
@@ -204,7 +192,6 @@ def store_vault_tokens(
     uid: int,
     ticket: TicketCache,
     runner: CommandRunner,
-    clock: Clock,
 ) -> VaultTokenFile:
     """Run the vault-storer once per credd host, then stage the resulting
     token. The caller must not run two of these at once.
@@ -254,13 +241,7 @@ def store_vault_tokens(
     shutil.move(shared_path, staged)
     os.chmod(staged, 0o600)
 
-    return VaultTokenFile(
-        service=svc.name,
-        path=staged,
-        acquired_at=clock.now(),
-        lifetime=svc.token_lifetimes.vault_local,
-        uid=uid,
-    )
+    return VaultTokenFile(path=staged, uid=uid)
 
 
 def validate_token_file(path: str, check_prefix: bool = False) -> TokenCheck:

@@ -248,28 +248,3 @@ class PushScheduler:
         if push.recorded == len(push.dests):
             self._open.remove(push)
             self._finished.append(push)
-
-
-def push_all(
-    svc: ResolvedService,
-    token: VaultTokenFile,
-    store: Store,
-    transfer: TransferAdapter,
-    limiter: ParallelismBudget,
-    clock: Clock,
-    rng: Optional[random.Random] = None,
-) -> list[PushOutcome]:
-    """Push to every node of one service: a :class:`PushScheduler` with this
-    one service in it. A partial copy is a failed attempt (a node holding one
-    of the two files is broken for one of its consumers). Outcomes come back
-    in node order.
-    """
-    scheduler = PushScheduler(limiter, transfer, store, clock, rng)
-    scheduler.add(svc, token)
-    finished: list[ServicePush] = []
-    while scheduler.busy:
-        finished += scheduler.step()[0]
-    (push,) = finished
-    if push.failure is not None:
-        raise push.failure
-    return [push.settled[i] for i in range(len(push.dests))]

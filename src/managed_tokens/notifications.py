@@ -48,7 +48,6 @@ class NotificationBatch:
     recipients: tuple[str, ...]
     subject: str
     body: str
-    triggering_events: tuple[ErrorEvent, ...]
     # (node, consecutive failure count, last error) per due node, node-sorted.
     node_failures: tuple[tuple[str, int, str], ...]
     run_id: str
@@ -122,10 +121,11 @@ def aggregate(
     admin summary.
 
     Stakeholder batches are gated by the persistent failure counters: only
-    (service, node) pairs whose streak is notification-due produce one, and
-    the counter's watermark is advanced immediately afterwards. Non-push
-    failures (registry, ticket, vault store) reach only the admin summary.
-    The result is independent of the order events arrived in.
+    (service, node) pairs whose streak is notification-due produce one.
+    Nothing is written here; :func:`dispatch` advances a node's watermark
+    once its batch is sent. Non-push failures (registry, ticket, vault store)
+    reach only the admin summary. The result is independent of the order
+    events arrived in.
     """
     all_events = sorted(events, key=_event_sort_key)
     threshold = config.notification.threshold
@@ -151,12 +151,6 @@ def aggregate(
 
     batches: list[NotificationBatch] = []
     for service in sorted(due):
-        node_failures = tuple(sorted(due[service]))
-        due_nodes = {node for node, _, _ in node_failures}
-        triggering = tuple(
-            e for e in all_events
-            if e.service == service and e.stage == "push" and e.node in due_nodes
-        )
         svc_cfg = config.services.get(service)
         recipients = svc_cfg.stakeholder_emails if svc_cfg is not None else ()
         batch = NotificationBatch(
@@ -164,14 +158,11 @@ def aggregate(
             recipients=recipients,
             subject=f"{SUBJECT_PREFIX} {service}: token distribution failures",
             body="",
-            triggering_events=triggering,
-            node_failures=node_failures,
+            node_failures=tuple(sorted(due[service])),
             run_id=run_id,
             generated_at=now,
         )
         batches.append(replace(batch, body=render(batch)))
-        for node in sorted(due_nodes):
-            store.mark_notified(service, node)
 
     services_affected = len({e.service for e in all_events})
     summary = AdminSummary(
@@ -191,12 +182,15 @@ def dispatch(
     batches: Iterable[NotificationBatch],
     summary: Optional[AdminSummary],
     sink: NotificationSink,
+    store: Store,
 ) -> int:
     """Send every batch plus the admin summary (when non-empty).
 
-    Sink failures are logged and skipped, never raised: notification
-    delivery must not take the run down. Returns the number of successful
-    sends.
+    A batch's due nodes are marked notified in ``store`` only once its send
+    returns, so a failed send, or a batch without recipients, stays due for
+    the next run. Sink failures are logged and skipped, never raised:
+    notification delivery must not take the run down. Returns the number of
+    successful sends.
     """
     sent = 0
     for batch in batches:
@@ -206,9 +200,12 @@ def dispatch(
             continue
         try:
             sink.send(batch.recipients, batch.subject, batch.body)
-            sent += 1
         except Exception as exc:
             logger.error("notification send failed service=%s error=%s", batch.service, exc)
+            continue
+        sent += 1
+        for node, _, _ in batch.node_failures:
+            store.mark_notified(batch.service, node)
     if summary is not None and summary.events:
         if not summary.recipients:
             logger.warning("no admin recipients configured; run summary not sent")

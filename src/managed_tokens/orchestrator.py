@@ -158,7 +158,7 @@ class _Stages:
             self.store.upsert_uid(svc.account, uid, self.deps.clock.now())
         ticket = self.stage(
             svc.name, "ticket",
-            lambda: credentials.acquire_ticket(svc, self.deps.runner, self.deps.clock),
+            lambda: credentials.acquire_ticket(svc, self.deps.runner),
             lambda ticket: f"cache {ticket.cache_path}")
         return None if ticket is None else storer.submit(self.store_tokens, svc, uid, ticket)
 
@@ -167,8 +167,7 @@ class _Stages:
         """The vault-storer calls; on the storer thread."""
         return self.stage(
             svc.name, "vault_store",
-            lambda: credentials.store_vault_tokens(svc, uid, ticket, self.deps.runner,
-                                                   self.deps.clock),
+            lambda: credentials.store_vault_tokens(svc, uid, ticket, self.deps.runner),
             lambda token: f"staged at {token.path}")
 
     def start_push(self, svc: ResolvedService, token: VaultTokenFile,
@@ -236,25 +235,28 @@ def run_token_push(
                 ThreadPoolExecutor(1, thread_name_prefix="storer") as storer, \
                 ThreadPoolExecutor(min(len(names), parallelism), "prepare") as prepare:
             pushes = PushScheduler(budget, deps.transfer, store, clock, deps.rng)
-            # A pending future -> its service. A prepare future's result is
-            # the storer future, whose result is the staged token.
-            pending: dict[Future, ResolvedService] = {
-                prepare.submit(stages.prepare, resolved[name], storer): resolved[name]
-                for name in names}
+            # A pending future -> its service and the stage a crash in it
+            # fails. A prepare future's result is the storer future, whose
+            # result is the staged token.
+            pending: dict[Future, tuple[ResolvedService, str]] = {
+                prepare.submit(stages.prepare, resolved[name], storer):
+                    (resolved[name], "ticket") for name in names}
             prepare.shutdown(wait=False)  # its workers exit once its queue drains
             while pending or pushes.busy:
                 finished, done = pushes.step(pending)
                 for push in finished:
                     stages.pushed(push)
                 for future in done:
-                    svc = pending.pop(future)
+                    svc, stage = pending.pop(future)
                     try:
                         result = future.result()
-                    except Exception:  # a bug in the stage plumbing itself
+                    except Exception as exc:  # a bug in the stage plumbing itself
                         logger.exception("pipeline crashed service=%s", svc.name)
+                        message = describe_error(exc)
+                        stages.record(svc.name, stage, clock.now(), message, {None: message})
                         continue
                     if isinstance(result, Future):
-                        pending[result] = svc
+                        pending[result] = (svc, "vault_store")
                     elif result is not None:
                         stages.start_push(svc, result, pushes)
 
@@ -262,7 +264,7 @@ def run_token_push(
         if not dry_run:
             batches, summary = notifications.aggregate(
                 stages.events, store, config, run_id, clock.now())
-            sent = notifications.dispatch(batches, summary, deps.sink)
+            sent = notifications.dispatch(batches, summary, deps.sink, store)
     finally:
         store.close()
 

@@ -177,11 +177,6 @@ class Store:
             ).fetchall()
         return [UidRecord(account=r[0], uid=int(r[1]), fetched_at=float(r[2])) for r in rows]
 
-    def delete_uid(self, account: str) -> None:
-        with self._mutex:
-            self._conn.execute("DELETE FROM uids WHERE account = ?", (account,))
-            self._conn.commit()
-
     # -- failure counters ----------------------------------------------------
 
     def record_push_outcome(self, service: str, node: str, success: bool,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 import yaml
 
+from managed_tokens import statestore
 from managed_tokens.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
@@ -58,6 +59,21 @@ class TestTokenPush:
         assert "push FAILED (failed nodes: submit2.example.org)" in out
         assert "failed pushes:" in out
         assert "@ submit2.example.org: no route to host (after 2 attempt(s))" in out
+
+    def test_crashed_stage_plumbing_exits_one(self, sim_site, capsys, monkeypatch):
+        lookup_uid = statestore.Store.lookup_uid
+
+        def broken_for_dune(self, account):
+            if account == "duneprod":
+                raise RuntimeError("lookup exploded")
+            return lookup_uid(self, account)
+
+        monkeypatch.setattr(statestore.Store, "lookup_uid", broken_for_dune)
+        code = main_token_push(["--config", sim_config(sim_site)])
+        out = capsys.readouterr().out
+        assert code == EXIT_PARTIAL
+        assert "2 service(s), 1 with failures" in out
+        assert "dune_production: ticket FAILED (RuntimeError: lookup exploded)" in out
 
     def test_service_subset(self, sim_site, capsys):
         code = main_token_push(["--config", sim_config(sim_site),

@@ -49,8 +49,7 @@ def one_service(site, name="dune_production", **add_kwargs):
 
 
 def make_ticket(svc) -> TicketCache:
-    return TicketCache(service=svc.name, cache_path=ticket_cache_path(svc),
-                       acquired_at=0.0, valid_until=86400.0)
+    return TicketCache(cache_path=ticket_cache_path(svc))
 
 
 class TestPrincipal:
@@ -119,11 +118,9 @@ class TestAcquireTicket:
         svc = one_service(site)
         clock = simkit.FixedClock(start=1000.0)
         runner = simkit.scripted_runner(simkit.always_succeed(), clock=clock)
-        ticket = acquire_ticket(svc, runner, clock)
+        ticket = acquire_ticket(svc, runner)
         assert ticket.cache_path == os.path.join(
             svc.state_dir, "krb5cc", "dune_production")
-        assert ticket.acquired_at == 1000.0
-        assert ticket.valid_until == 1000.0 + 24 * 3600
         (entry,) = runner.log.entries()
         assert entry.args[0] == "kinit"
         assert svc.keytab_path in entry.args
@@ -135,7 +132,7 @@ class TestAcquireTicket:
         runner = simkit.scripted_runner(simkit.always_succeed(),
                                         side_effects=recorder,
                                         clock=simkit.FixedClock())
-        acquire_ticket(svc, runner, simkit.FixedClock())
+        acquire_ticket(svc, runner)
         (env,) = recorder.envs
         assert env["KRB5CCNAME"] == f"FILE:{ticket_cache_path(svc)}"
 
@@ -145,7 +142,7 @@ class TestAcquireTicket:
         runner = simkit.scripted_runner(simkit.always_succeed(),
                                         clock=simkit.FixedClock())
         with pytest.raises(KeytabMissing, match="keytab"):
-            acquire_ticket(svc, runner, simkit.FixedClock())
+            acquire_ticket(svc, runner)
         assert runner.log.entries() == ()
 
     def test_command_failure_surfaces_stderr(self, site):
@@ -153,7 +150,7 @@ class TestAcquireTicket:
         schedule = simkit.FaultSchedule("t", (simkit.fail("kinit: KDC unreachable"),))
         runner = simkit.scripted_runner(schedule, clock=simkit.FixedClock())
         with pytest.raises(CommandFailed, match="KDC unreachable") as err:
-            acquire_ticket(svc, runner, simkit.FixedClock())
+            acquire_ticket(svc, runner)
         assert err.value.invocation.exit_code == 1
 
     def test_hang_raises_command_timeout(self, site):
@@ -162,7 +159,7 @@ class TestAcquireTicket:
         runner = simkit.scripted_runner(simkit.FaultSchedule("t", (simkit.hang(),)),
                                         clock=clock)
         with pytest.raises(CommandTimeout) as err:
-            acquire_ticket(svc, runner, clock)
+            acquire_ticket(svc, runner)
         assert err.value.timeout == svc.timeouts.ticket
 
     def test_distinct_services_use_distinct_caches(self, site):
@@ -183,13 +180,12 @@ class TestStoreVaultTokens:
         runner = simkit.scripted_runner(simkit.always_succeed(),
                                         side_effects=simkit.write_token_from_env(),
                                         clock=clock)
-        token = store_vault_tokens(svc, 4521, make_ticket(svc), runner, clock)
+        token = store_vault_tokens(svc, 4521, make_ticket(svc), runner)
         assert len(runner.log.entries()) == 2
         assert all(e.args == ("condor_vault_storer", "dune_production")
                    for e in runner.log.entries())
         assert token.path == staging_path(svc)
         assert token.uid == 4521
-        assert token.lifetime == svc.token_lifetimes.vault_local
         assert os.path.getsize(token.path) > 0
         assert os.stat(token.path).st_mode & 0o177 == 0
         assert not os.path.exists(default_token_path(svc, 4521))
@@ -201,7 +197,7 @@ class TestStoreVaultTokens:
         clock = simkit.FixedClock()
         runner = simkit.scripted_runner(simkit.always_succeed(),
                                         side_effects=recorder, clock=clock)
-        store_vault_tokens(svc, 4521, make_ticket(svc), runner, clock)
+        store_vault_tokens(svc, 4521, make_ticket(svc), runner)
         assert [env["_condor_CREDD_HOST"] for env in recorder.envs] == list(credds)
         shared = default_token_path(svc, 4521)
         for env in recorder.envs:
@@ -218,7 +214,7 @@ class TestStoreVaultTokens:
         clock = simkit.FixedClock()
         runner = simkit.scripted_runner(schedule, clock=clock)
         with pytest.raises(CommandFailed, match="CRED_ADD"):
-            store_vault_tokens(svc, 4521, make_ticket(svc), runner, clock)
+            store_vault_tokens(svc, 4521, make_ticket(svc), runner)
         assert len(runner.log.entries()) == 1
         assert not os.path.exists(staging_path(svc))
 
@@ -233,8 +229,7 @@ class TestStoreVaultTokens:
                                   prompt, "", 0.0, 0.0)
 
         with pytest.raises(InteractiveAuthRequired) as err:
-            store_vault_tokens(svc, 4521, make_ticket(svc), PromptingRunner(),
-                               simkit.FixedClock())
+            store_vault_tokens(svc, 4521, make_ticket(svc), PromptingRunner())
         assert "vault.example.org" in str(err.value)
         assert not os.path.exists(staging_path(svc))
 
@@ -248,15 +243,14 @@ class TestStoreVaultTokens:
                                   "", prompt, 0.0, 0.0)
 
         with pytest.raises(InteractiveAuthRequired):
-            store_vault_tokens(svc, 4521, make_ticket(svc), FailingPromptRunner(),
-                               simkit.FixedClock())
+            store_vault_tokens(svc, 4521, make_ticket(svc), FailingPromptRunner())
 
     def test_exit_zero_without_token_file(self, site):
         svc = one_service(site)
         clock = simkit.FixedClock()
         runner = simkit.scripted_runner(simkit.always_succeed(), clock=clock)
         with pytest.raises(TokenNotProduced, match="vt_u4521"):
-            store_vault_tokens(svc, 4521, make_ticket(svc), runner, clock)
+            store_vault_tokens(svc, 4521, make_ticket(svc), runner)
 
     def test_empty_token_file_counts_as_not_produced(self, site):
         svc = one_service(site)
@@ -265,7 +259,7 @@ class TestStoreVaultTokens:
             simkit.always_succeed(),
             side_effects=simkit.write_token_from_env(content=b""), clock=clock)
         with pytest.raises(TokenNotProduced):
-            store_vault_tokens(svc, 4521, make_ticket(svc), runner, clock)
+            store_vault_tokens(svc, 4521, make_ticket(svc), runner)
 
 
 class TestValidateTokenFile:

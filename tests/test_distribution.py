@@ -18,8 +18,8 @@ from managed_tokens.credentials import VaultTokenFile
 from managed_tokens.distribution import (
     Destination,
     ParallelismBudget,
+    PushScheduler,
     compute_destinations,
-    push_all,
 )
 from managed_tokens.statestore import open_store
 
@@ -34,8 +34,22 @@ def one_service(site, name="dune_production", **add_kwargs):
 def stage_token(path):
     path.write_bytes(b"hvs.staged-token\n")
     os.chmod(path, 0o600)
-    return VaultTokenFile(service="dune_production", path=str(path),
-                          acquired_at=0.0, lifetime=604800.0, uid=4521)
+    return VaultTokenFile(path=str(path), uid=4521)
+
+
+def run_scheduler(svc, token, store, transfer, budget, clock, rng=None):
+    """Push one service's token through a :class:`PushScheduler` of its own,
+    as a run does, and return its outcomes in node order. A failed counter
+    write is raised."""
+    scheduler = PushScheduler(budget, transfer, store, clock, rng)
+    scheduler.add(svc, token)
+    finished = []
+    while scheduler.busy:
+        finished += scheduler.step()[0]
+    (push,) = finished
+    if push.failure is not None:
+        raise push.failure
+    return [push.settled[i] for i in range(len(push.dests))]
 
 
 @pytest.fixture
@@ -89,8 +103,8 @@ class TestDestinations:
 
 
 class TestPushToken:
-    """One token to one node: ``push_all`` with a one-node service, which runs
-    the same scheduler as a whole run."""
+    """One token to one node: a one-node service through the same scheduler
+    as a whole run."""
 
     NODE = "submit1.example.org"
 
@@ -100,7 +114,7 @@ class TestPushToken:
                           overrides={"retry.max_attempts": max_attempts,
                                      "retry.base_backoff": base_backoff})
         with open_store(str(site.state_dir)) as store, ParallelismBudget(1) as budget:
-            (outcome,) = push_all(svc, token, store, transfer, budget, clock, rng=rng)
+            (outcome,) = run_scheduler(svc, token, store, transfer, budget, clock, rng=rng)
         return outcome
 
     def test_happy_path_lands_both_copies(self, site, staged_token):
@@ -148,7 +162,7 @@ class TestPushToken:
         assert outcome.attempts == 2
 
     def test_missing_staged_token_is_a_caller_bug(self, site, tmp_path):
-        token = VaultTokenFile("svc", str(tmp_path / "gone"), 0.0, 1.0, 4521)
+        token = VaultTokenFile(str(tmp_path / "gone"), 4521)
         with pytest.raises(ValueError, match="validation"):
             self.push(site, token, simkit.memory_transfer(), simkit.FixedClock())
 
@@ -192,8 +206,8 @@ class TestPushAll:
         svc = one_service(site, nodes=nodes)
         transfer = simkit.memory_transfer()
         with open_store(str(site.state_dir)) as store:
-            outcomes = push_all(svc, staged_token, store, transfer,
-                                ParallelismBudget(4), simkit.FixedClock())
+            outcomes = run_scheduler(svc, staged_token, store, transfer,
+                                     ParallelismBudget(4), simkit.FixedClock())
             assert [o.node for o in outcomes] == list(nodes)
             assert all(o.success for o in outcomes)
             landed = transfer.files()
@@ -209,8 +223,8 @@ class TestPushAll:
             "t", (simkit.fail("unreachable"),))}
         transfer = simkit.memory_transfer(faults=faults)
         with open_store(str(site.state_dir)) as store:
-            outcomes = push_all(svc, staged_token, store, transfer,
-                                ParallelismBudget(4), simkit.SystemClock())
+            outcomes = run_scheduler(svc, staged_token, store, transfer,
+                                     ParallelismBudget(4), simkit.SystemClock())
             by_node = {o.node: o for o in outcomes}
             assert by_node["ok1.example.org"].success
             assert by_node["ok2.example.org"].success
@@ -228,8 +242,8 @@ class TestPushAll:
         with open_store(str(site.state_dir)) as store:
             transfer = simkit.memory_transfer(faults=faults)
             begin = time.monotonic()
-            outcomes = push_all(svc, staged_token, store, transfer,
-                                ParallelismBudget(1), simkit.SystemClock())
+            outcomes = run_scheduler(svc, staged_token, store, transfer,
+                                     ParallelismBudget(1), simkit.SystemClock())
             serial = time.monotonic() - begin
         assert all(o.success for o in outcomes)
         assert serial >= 0.2
@@ -243,8 +257,8 @@ class TestPushAll:
         with open_store(str(site.state_dir)) as store:
             transfer = simkit.memory_transfer(faults=faults)
             begin = time.monotonic()
-            outcomes = push_all(svc, staged_token, store, transfer,
-                                ParallelismBudget(4), simkit.SystemClock())
+            outcomes = run_scheduler(svc, staged_token, store, transfer,
+                                     ParallelismBudget(4), simkit.SystemClock())
             parallel = time.monotonic() - begin
         assert all(o.success for o in outcomes)
         assert parallel < 0.2
@@ -269,9 +283,9 @@ class TestPushAll:
 
         inner = simkit.memory_transfer()
         with open_store(str(site.state_dir)) as store, ParallelismBudget(4) as budget:
-            outcomes = push_all(svc, staged_token, store,
-                                DiskFullOn(inner, "broken.example.org"), budget,
-                                simkit.FixedClock())
+            outcomes = run_scheduler(svc, staged_token, store,
+                                     DiskFullOn(inner, "broken.example.org"), budget,
+                                     simkit.FixedClock())
             by_node = {o.node: o for o in outcomes}
             broken = by_node["broken.example.org"]
             assert not broken.success
@@ -292,8 +306,8 @@ class TestPushAll:
         transfer = simkit.memory_transfer(faults=faults)
         with open_store(str(site.state_dir)) as store, ParallelismBudget(4) as budget:
             begin = time.monotonic()
-            outcomes = push_all(svc, staged_token, store, transfer, budget,
-                                simkit.SystemClock())
+            outcomes = run_scheduler(svc, staged_token, store, transfer, budget,
+                                     simkit.SystemClock())
             serial = time.monotonic() - begin
         assert all(o.success for o in outcomes)
         assert transfer.high_water == 1
@@ -313,8 +327,8 @@ class TestPushAll:
         faults = {down: simkit.FaultSchedule("t", (simkit.fail("unreachable"),))}
         transfer = simkit.memory_transfer(faults=faults)
         with open_store(str(site.state_dir)) as store, ParallelismBudget(1) as budget:
-            outcomes = push_all(svc, staged_token, store, transfer, budget,
-                                simkit.SystemClock(), rng=TopOfWindow())
+            outcomes = run_scheduler(svc, staged_token, store, transfer, budget,
+                                     simkit.SystemClock(), rng=TopOfWindow())
         assert [o.success for o in outcomes] == [False, True, True, True]
         entries = transfer.log.entries()
         retries = [e for e in entries if e.args[0] == down]

@@ -100,7 +100,11 @@ class TestAggregate:
                 ("submit1.example.org", 3, "no route to host"),)
             assert "3 consecutive failed distribution attempts" in batch.body
             assert batch.body == render(batch)
-            # Watermark advanced: aggregating again right away stays quiet.
+            # Aggregating writes nothing: the batch stays due until it is sent.
+            again, _ = aggregate([push_event()], store, cfg, "r1", 500.0)
+            assert again == batches
+            # Sending advanced the watermark: aggregating again stays quiet.
+            assert dispatch(batches, None, simkit.RecordingSink(), store) == 1
             again, _ = aggregate([push_event()], store, cfg, "r1", 500.0)
             assert again == []
 
@@ -218,16 +222,26 @@ class TestAggregate:
 
 
 class TestDispatch:
+    NODE = "submit1.example.org"
+
     def batch(self, service="dune_production",
               recipients=("dune-admins@example.org",)):
         return aggregate_free_batch(service, recipients)
 
-    def test_batches_plus_summary(self):
+    @pytest.fixture
+    def store(self, site):
+        with open_store(str(site.state_dir)) as store:
+            yield store
+
+    def watermark(self, store, service):
+        return store.get_counter(service, self.NODE).last_notified_count
+
+    def test_batches_plus_summary(self, store):
         sink = simkit.RecordingSink()
         batches = [self.batch(), self.batch("mu2e_production",
                                             ("mu2e-admins@example.org",))]
         summary = make_summary(events=(stage_event(),))
-        sent = dispatch(batches, summary, sink)
+        sent = dispatch(batches, summary, sink, store)
         assert sent == 3
         assert [m.recipients for m in sink.messages] == [
             ("dune-admins@example.org",),
@@ -235,36 +249,41 @@ class TestDispatch:
             ("ops@example.org",),
         ]
 
-    def test_empty_event_summary_not_sent(self):
+    def test_empty_event_summary_not_sent(self, store):
         sink = simkit.RecordingSink()
-        assert dispatch([], make_summary(events=()), sink) == 0
+        assert dispatch([], make_summary(events=()), sink, store) == 0
         assert sink.messages == []
 
-    def test_missing_recipients_skipped(self, caplog):
+    def test_missing_recipients_skipped(self, store):
+        seed_failures(store, "dune_production", self.NODE, 3)
         sink = simkit.RecordingSink()
-        sent = dispatch([self.batch(recipients=())], None, sink)
+        sent = dispatch([self.batch(recipients=())], None, sink, store)
         assert sent == 0
         assert sink.messages == []
+        assert self.watermark(store, "dune_production") == 0  # still due
 
-    def test_sink_failure_does_not_stop_later_sends(self):
+    def test_sink_failure_does_not_stop_later_sends(self, store):
+        seed_failures(store, "dune_production", self.NODE, 3)
+        seed_failures(store, "mu2e_production", self.NODE, 3)
         sink = simkit.RecordingSink(schedule=simkit.FaultSchedule(
             "sink", (simkit.fail("smtp down"), simkit.succeed(),
                      simkit.succeed())))
         batches = [self.batch(), self.batch("mu2e_production",
                                             ("mu2e-admins@example.org",))]
-        sent = dispatch(batches, make_summary(events=(stage_event(),)), sink)
+        sent = dispatch(batches, make_summary(events=(stage_event(),)), sink, store)
         assert sent == 2
         assert [m.recipients[0] for m in sink.messages] == [
             "mu2e-admins@example.org", "ops@example.org"]
+        assert self.watermark(store, "dune_production") == 0  # failed: still due
+        assert self.watermark(store, "mu2e_production") == 3
 
 
 def aggregate_free_batch(service, recipients):
     from managed_tokens.notifications import NotificationBatch
-    events = (push_event(service=service),)
     return NotificationBatch(
         service=service, recipients=tuple(recipients),
         subject=f"[managed-tokens] {service}: token distribution failures",
-        body="body\n", triggering_events=events,
+        body="body\n",
         node_failures=(("submit1.example.org", 3, "no route to host"),),
         run_id="r1", generated_at=500.0)
 

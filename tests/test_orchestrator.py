@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from managed_tokens import credentials, simkit, statestore
+from managed_tokens import credentials, orchestrator, simkit, statestore
 from managed_tokens.config import UnknownService
 from managed_tokens.orchestrator import (
     FatalSetupError,
@@ -277,11 +277,38 @@ class TestFailureIsolation:
         bundle = make_bundle()
         with caplog.at_level("ERROR", logger="managed_tokens"):
             report = run_token_push(cfg, bundle)
-        assert report.per_service["dune_production"] == ()
+        (crashed,) = report.per_service["dune_production"]
+        assert (crashed.stage, crashed.success) == ("ticket", False)
+        assert crashed.detail == "RuntimeError: lookup exploded"
+        assert not report.ok
         assert all(r.success for r in report.per_service["mu2e_production"])
         assert {o.service for o in report.push_outcomes} == {"mu2e_production"}
         assert any("pipeline crashed service=dune_production" in r.message
                    for r in caplog.records)
+        (summary,) = bundle.sink.messages
+        assert "[ticket] RuntimeError: lookup exploded" in summary.body
+
+    def test_plumbing_crash_at_the_storer_fails_the_vault_store_stage(self, site,
+                                                                      monkeypatch):
+        site.add_service("dune_production")
+        site.add_service("mu2e_production")
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+        store_tokens = orchestrator._Stages.store_tokens
+
+        def broken_for_dune(self, svc, uid, ticket):
+            if svc.name == "dune_production":
+                raise RuntimeError("storer hand-off exploded")
+            return store_tokens(self, svc, uid, ticket)
+
+        monkeypatch.setattr(orchestrator._Stages, "store_tokens", broken_for_dune)
+        report = run_token_push(cfg, make_bundle())
+        assert stages_of(report, "dune_production") == ["ticket", "vault_store"]
+        crashed = report.per_service["dune_production"][-1]
+        assert not crashed.success
+        assert crashed.detail == "RuntimeError: storer hand-off exploded"
+        assert not report.ok
+        assert all(r.success for r in report.per_service["mu2e_production"])
 
     def test_failed_counter_write_fails_only_that_services_push(self, site,
                                                                 monkeypatch):
@@ -488,6 +515,37 @@ class TestNotificationsWiring:
         recipients = {r for m in bundle.sink.messages for r in m.recipients}
         assert recipients == {"dune_production-admins@example.org",
                               "ops@example.org"}
+
+    def test_failed_stakeholder_send_is_sent_on_the_next_run(self, site):
+        site.add_service("dune_production",
+                         nodes=("good.example.org", "bad.example.org"),
+                         overrides={"retry.base_backoff": "1ms",
+                                    "retry.max_attempts": 2})
+        cfg = site.config(notification={"admin_recipients": ["ops@example.org"],
+                                        "threshold": 3})
+        site.seed_uids(site.uid_map())
+        faults = {"bad.example.org": simkit.FaultSchedule(
+            "t", (simkit.fail("no route to host"),))}
+        for _ in range(2):
+            run_token_push(cfg, make_bundle(transfer_faults=faults))
+        # Streak 3 is due, but the stakeholder send (the first) fails.
+        smtp_down = simkit.RecordingSink(schedule=simkit.FaultSchedule(
+            "sink", (simkit.fail("smtp down"), simkit.succeed())))
+        report = run_token_push(cfg, make_bundle(transfer_faults=faults, sink=smtp_down))
+        assert report.notifications_sent == 1  # the admin summary only
+        with open_store(cfg.state_dir) as store:
+            counter = store.get_counter("dune_production", "bad.example.org")
+        assert (counter.consecutive_failures, counter.last_notified_count) == (3, 0)
+
+        bundle = make_bundle(transfer_faults=faults)
+        report = run_token_push(cfg, bundle)
+        assert report.notifications_sent == 2
+        (batch,) = [m for m in bundle.sink.messages
+                    if m.recipients == ("dune_production-admins@example.org",)]
+        assert "bad.example.org: 4 consecutive failed distribution attempts" in batch.body
+        with open_store(cfg.state_dir) as store:
+            counter = store.get_counter("dune_production", "bad.example.org")
+        assert counter.last_notified_count == 4
 
     def test_non_push_failures_reach_only_the_admin_summary(self, site):
         site.add_service("dune_production")

@@ -58,11 +58,6 @@ class TestUidRecords:
         store.upsert_uid("rootlike", 0, now=0.0)
         assert store.lookup_uid("rootlike") == 0
 
-    def test_delete(self, store):
-        store.upsert_uid("duneprod", 4521, now=0.0)
-        store.delete_uid("duneprod")
-        assert store.lookup_uid("duneprod") is None
-
     def test_thousand_accounts(self, store):
         for i in range(1000):
             store.upsert_uid(f"account{i:04d}", 10000 + i, now=float(i))
