@@ -4,7 +4,8 @@
 Runs the pipeline repeatedly against one synthetic deployment whose single
 service has a node that never accepts pushes, with an optional clean run in
 the middle, and prints one line per run: the node's failure streak, the
-notification watermark, and whether a stakeholder batch went out.
+notification watermark, and whether a stakeholder batch went out. The
+deployment lives in a temporary directory that is removed on exit.
 
     python3 scripts/notification_drill.py --threshold 3 --runs 8 --recover-at 4
 """
@@ -90,32 +91,32 @@ def main(argv: list[str] | None = None) -> int:
         # The point is the table; the FAILED column already says what the
         # suppressed warnings would.
         logging.getLogger("managed_tokens").setLevel(logging.CRITICAL)
-    root = Path(tempfile.mkdtemp(prefix="managed-tokens-drill-"))
-    failing_cfg = load_config(write_config(root, args.node, args.threshold,
-                                           failing=True))
-    healthy_cfg = load_config(write_config(root, args.node, args.threshold,
-                                           failing=False))
-    print(f"workspace: {root}")
-    print(f"threshold: {args.threshold}, failing node: {args.node}")
+    with tempfile.TemporaryDirectory(prefix="managed-tokens-drill-") as tmp:
+        root = Path(tmp)
+        failing_cfg = load_config(write_config(root, args.node, args.threshold,
+                                               failing=True))
+        healthy_cfg = load_config(write_config(root, args.node, args.threshold,
+                                               failing=False))
+        print(f"threshold: {args.threshold}, failing node: {args.node}")
 
-    for run in range(1, args.runs + 1):
-        clean = run == args.recover_at
-        cfg = healthy_cfg if clean else failing_cfg
-        # Fresh bundle per run, but with a recording sink so batches are
-        # inspectable instead of just logged.
-        bundle = dataclasses.replace(build_simulation_bundle(cfg),
-                                     sink=simkit.RecordingSink())
-        run_token_push(cfg, bundle, run_id=f"drill{run:03d}")
-        batches = [m for m in bundle.sink.messages
-                   if STAKEHOLDER_MARK in m.subject]
-        with open_store(cfg.state_dir) as store:
-            counter = store.get_counter(SERVICE, args.node)
-        streak = counter.consecutive_failures if counter else 0
-        watermark = counter.last_notified_count if counter else 0
-        outcome = "ok    " if clean else "FAILED"
-        fired = f"stakeholder batch -> {batches[0].recipients}" if batches else "-"
-        print(f"run {run:2d}: push {outcome} streak={streak} "
-              f"watermark={watermark}  {fired}")
+        for run in range(1, args.runs + 1):
+            clean = run == args.recover_at
+            cfg = healthy_cfg if clean else failing_cfg
+            # Fresh bundle per run, but with a recording sink so batches are
+            # inspectable instead of just logged.
+            bundle = dataclasses.replace(build_simulation_bundle(cfg),
+                                         sink=simkit.RecordingSink())
+            run_token_push(cfg, bundle, run_id=f"drill{run:03d}")
+            batches = [m for m in bundle.sink.messages
+                       if STAKEHOLDER_MARK in m.subject]
+            with open_store(cfg.state_dir) as store:
+                counter = store.get_counter(SERVICE, args.node)
+            streak = counter.consecutive_failures if counter else 0
+            watermark = counter.last_notified_count if counter else 0
+            outcome = "ok    " if clean else "FAILED"
+            fired = f"stakeholder batch -> {batches[0].recipients}" if batches else "-"
+            print(f"run {run:2d}: push {outcome} streak={streak} "
+                  f"watermark={watermark}  {fired}")
     return 0
 
 

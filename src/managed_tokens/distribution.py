@@ -5,13 +5,13 @@ path (keyed by UID only) and one at the per-UID/issuer/role path, because
 the two downstream consumers locate tokens differently. A node counts as
 successfully served only when both copies land.
 
-One transfer pool per run (:class:`ParallelismBudget`) runs every push
-attempt, where an attempt is both copies to one node; its workers only copy.
-One :class:`PushScheduler` per run decides, from the caller's thread, what
-runs on that pool. A failed node's retry waits on its backoff heap, so it
-holds no transfer slot. Retry ``k`` waits a full-jitter draw from
-``[0, base_backoff * 2**(k-1)]``, which keeps concurrent retries from
-synchronizing; nothing caps the window.
+One :class:`PushScheduler` per run owns the run's transfer pool, whose
+workers only copy, and decides from the caller's thread which push attempt
+runs on it next; an attempt is both copies to one node. It only schedules:
+the caller saves each settled node's outcome. A failed node's retry waits on
+its backoff heap, so it holds no transfer slot. Retry ``k`` waits a
+full-jitter draw from ``[0, base_backoff * 2**(k-1)]``, which keeps
+concurrent retries from synchronizing; nothing caps the window.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ import os.path
 import random
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Optional
+from typing import Collection, Optional
 
 from .config import ResolvedService
 from .credentials import VaultTokenFile, validate_token_file
 from .interfaces import Clock, TransferAdapter, TransferError, describe_error
-from .statestore import Store
 
 logger = logging.getLogger(__name__)
 
@@ -55,40 +54,12 @@ class PushOutcome:
     error: Optional[str] = None
 
 
-class ParallelismBudget:
-    """The run's transfer pool: ``limit`` worker threads, so at most
-    ``limit`` push attempts run at once across every service.
-
-    Leaving its ``with`` block waits for the workers and stops them.
-    """
-
-    def __init__(self, limit: int):
-        if limit < 1:
-            raise ValueError("parallelism budget must be >= 1")
-        self.limit = limit
-        self._pool = ThreadPoolExecutor(limit, thread_name_prefix="transfer")
-
-    def submit(self, fn: Callable[..., None], *args: Any) -> Future:
-        return self._pool.submit(fn, *args)
-
-    def __enter__(self) -> "ParallelismBudget":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._pool.shutdown(wait=True)
-
-
-def compute_destinations(
-    svc: ResolvedService,
-    node: str,
-    uid: int,
-    tmp_dir: Optional[str] = None,
-) -> Destination:
+def compute_destinations(svc: ResolvedService, node: str, uid: int) -> Destination:
     """Render the two remote paths for one node from the configured templates."""
     if uid < 0:
         raise ValueError("uid must be >= 0")
     values = {
-        "tmp_dir": tmp_dir if tmp_dir is not None else svc.tmp_dir,
+        "tmp_dir": svc.tmp_dir,
         "uid": uid,
         "issuer": svc.token_issuer,
         "role": svc.role,
@@ -109,8 +80,7 @@ def _attempt(local_path: str, dest: Destination, transfer: TransferAdapter,
 
 @dataclass(eq=False)
 class ServicePush:
-    """One service's nodes in the scheduler. ``failure`` holds the first
-    error that recording one of its outcomes raised."""
+    """One service's nodes in the scheduler."""
 
     svc: ResolvedService
     token: VaultTokenFile
@@ -119,27 +89,28 @@ class ServicePush:
     attempts: list[int]
     ready: collections.deque
     settled: dict[int, PushOutcome] = field(default_factory=dict)
-    recorded: int = 0
     running: int = 0
-    failure: Optional[Exception] = None
 
 
 class PushScheduler:
-    """Every push of one run, scheduled on its transfer pool.
+    """Every push of one run, scheduled on its transfer pool of ``limit``
+    worker threads, so at most ``limit`` attempts run at once across every
+    service.
 
-    At most ``2 * budget.limit`` attempts are submitted at once (one running
-    and one queued per worker), ``svc.transfer_parallelism`` of them one
-    service's; free slots go to services in the order they were added. A
+    At most ``2 * limit`` attempts are submitted at once (one running and one
+    queued per worker), ``svc.transfer_parallelism`` of them one service's;
+    free slots go to services in the order they were added. A
     ``TransferError`` is retried up to the service's policy; any other
-    exception fails its node at once. A node's final outcome goes into its
-    persistent failure counter at the next step that hands nothing back.
+    exception fails its node at once. A service is handed back as soon as
+    its last node settles. Leaving the ``with`` block waits for the workers
+    and stops them.
     """
 
-    def __init__(self, budget: ParallelismBudget, transfer: TransferAdapter,
-                 store: Store, clock: Clock, rng: Optional[random.Random] = None):
-        self._budget = budget
+    def __init__(self, limit: int, transfer: TransferAdapter, clock: Clock,
+                 rng: Optional[random.Random] = None):
+        self._pool = ThreadPoolExecutor(limit, thread_name_prefix="transfer")
+        self._window = 2 * limit
         self._transfer = transfer
-        self._store = store
         self._clock = clock
         self._rng = rng if rng is not None else random.Random()
         self._open: list[ServicePush] = []
@@ -148,8 +119,12 @@ class PushScheduler:
         self._backoff: list[tuple[float, int, ServicePush, int]] = []
         self._order = itertools.count()
         self._in_flight: dict[Future, tuple[ServicePush, int]] = {}
-        self._window = 2 * budget.limit
-        self._unrecorded: collections.deque[tuple[ServicePush, int]] = collections.deque()
+
+    def __enter__(self) -> "PushScheduler":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._pool.shutdown(wait=True)
 
     @property
     def busy(self) -> bool:
@@ -181,11 +156,8 @@ class PushScheduler:
             push.ready.append(i)
         self._start()
         done: set[Future] = set()
-        if self._in_flight or others or self._unrecorded:
-            # Record one outcome per step that hands nothing back: no refill
-            # or stage hand-off then waits behind more than one store commit.
-            until_due = (0.0 if self._unrecorded else
-                         max(0.0, self._backoff[0][0] - self._clock.now())
+        if self._in_flight or others:
+            until_due = (max(0.0, self._backoff[0][0] - self._clock.now())
                          if self._backoff else None)
             done, _ = wait([*self._in_flight, *others], timeout=until_due,
                            return_when=FIRST_COMPLETED)
@@ -194,8 +166,6 @@ class PushScheduler:
                 self._finish(future)
             done -= pushes
             self._start()
-            if self._unrecorded and not done:
-                self._record(*self._unrecorded.popleft())
         elif self._backoff:
             due, _, push, i = heapq.heappop(self._backoff)
             self._clock.sleep(due - self._clock.now())
@@ -210,8 +180,8 @@ class PushScheduler:
                 i = push.ready.popleft()
                 push.attempts[i] += 1
                 push.running += 1
-                future = self._budget.submit(_attempt, push.token.path, push.dests[i],
-                                             self._transfer, push.svc.timeouts.transfer)
+                future = self._pool.submit(_attempt, push.token.path, push.dests[i],
+                                           self._transfer, push.svc.timeouts.transfer)
                 self._in_flight[future] = (push, i)
             if len(self._in_flight) >= self._window:
                 return
@@ -235,16 +205,6 @@ class PushScheduler:
         push.settled[i] = PushOutcome(service=push.svc.name, node=push.dests[i].node,
                                       success=error is None, attempts=push.attempts[i],
                                       error=error)
-        self._unrecorded.append((push, i))
-
-    def _record(self, push: ServicePush, i: int) -> None:
-        outcome = push.settled[i]
-        try:
-            self._store.record_push_outcome(push.svc.name, outcome.node,
-                                            outcome.success, self._clock.now())
-        except Exception as exc:
-            push.failure = push.failure or exc
-        push.recorded += 1
-        if push.recorded == len(push.dests):
+        if len(push.settled) == len(push.dests):
             self._open.remove(push)
             self._finished.append(push)

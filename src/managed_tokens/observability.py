@@ -54,7 +54,7 @@ def gauge(name: str, labels: Mapping[str, str], value: float) -> MetricSample:
     return MetricSample(name, "gauge", dict(labels), float(value))
 
 
-def report_to_metrics(report: "RunReport", now: float) -> list[MetricSample]:
+def report_to_metrics(report: "RunReport") -> list[MetricSample]:
     """Map a finalized run report onto the pushed metric set."""
     samples = [
         gauge(METRIC_PREFIX + "last_run_timestamp_seconds", {}, report.ended),
@@ -182,15 +182,13 @@ def record_span(
     end: float,
     status: str = "ok",
     attributes: Optional[Mapping[str, str]] = None,
-    trace_id: Optional[str] = None,
-    span_id: Optional[str] = None,
 ) -> SpanRecord:
     """Build one immutable span; ids are inherited from the parent's trace."""
     if end < start:
         raise ValueError("span end must be >= start")
     return SpanRecord(
-        trace_id=trace_id or (parent.trace_id if parent else new_trace_id()),
-        span_id=span_id or new_span_id(),
+        trace_id=parent.trace_id if parent else new_trace_id(),
+        span_id=new_span_id(),
         parent_id=parent.span_id if parent else None,
         name=name,
         start=start,

@@ -13,10 +13,11 @@ the caller's thread:
 
 So a run holds ``transfer_parallelism + 2`` threads, plus the prepare pool
 while it drains, whatever the number of services or nodes. A stage failure
-stops that service's later stages and never touches other services. The
-notification threshold policy is applied to the run's ErrorEvents once every
-stage has finished. Metrics and spans are emitted at the end and never fail
-the run.
+stops that service's later stages and never touches other services. Once
+every stage has finished, every settled node's failure counter is saved in
+one store transaction, and then the notification threshold policy is
+applied to the run's ErrorEvents. Metrics and spans are emitted at the end
+and never fail the run.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import credentials, notifications, observability, registry
 from .config import (ConfigError, GlobalConfig, ResolvedService, UnknownService,
                      resolve_service)
 from .credentials import TicketCache, VaultTokenFile
-from .distribution import ParallelismBudget, PushOutcome, PushScheduler, ServicePush
+from .distribution import PushOutcome, PushScheduler, ServicePush
 from .interfaces import AdapterBundle, describe_error
 from .notifications import STAGES, ErrorEvent
 from .registry import RefreshReport
@@ -190,14 +191,28 @@ class _Stages:
         name = push.svc.name
         outcomes = self.outcomes[name] = [push.settled[i] for i in sorted(push.settled)]
         failed = {o.node: o.error or "transfer failed" for o in outcomes if not o.success}
-        if push.failure is not None:
-            detail = describe_error(push.failure)
-            failed = dict.fromkeys(push.svc.nodes, detail)
-        elif failed:
+        if failed:
             detail = "failed nodes: " + ", ".join(sorted(failed))
         else:
             detail, failed = f"{len(outcomes)} node(s)", None
         self.record(name, "push", push.started, detail, failed)
+
+    def save_counters(self) -> None:
+        """Fold every settled node into its failure counter in one store
+        transaction. If it raises, no counter changes, and each service that
+        pushed gets one more failed push result, on each of its nodes."""
+        started = self.deps.clock.now()
+        try:
+            with self.store.transaction():
+                for name in sorted(self.outcomes):
+                    for outcome in self.outcomes[name]:
+                        self.store.record_push_outcome(name, outcome.node,
+                                                       outcome.success, started)
+        except Exception as exc:
+            message = "failure counters not saved: " + describe_error(exc)
+            for name in sorted(self.outcomes):
+                self.record(name, "push", started, message,
+                            {o.node: message for o in self.outcomes[name]})
 
 
 def run_token_push(
@@ -231,10 +246,9 @@ def run_token_push(
     stages = _Stages(config, deps, store, dry_run, cancel)
     parallelism = config.transfer_parallelism
     try:
-        with ParallelismBudget(parallelism) as budget, \
+        with PushScheduler(parallelism, deps.transfer, clock, deps.rng) as pushes, \
                 ThreadPoolExecutor(1, thread_name_prefix="storer") as storer, \
                 ThreadPoolExecutor(min(len(names), parallelism), "prepare") as prepare:
-            pushes = PushScheduler(budget, deps.transfer, store, clock, deps.rng)
             # A pending future -> its service and the stage a crash in it
             # fails. A prepare future's result is the storer future, whose
             # result is the staged token.
@@ -262,6 +276,7 @@ def run_token_push(
 
         sent = 0
         if not dry_run:
+            stages.save_counters()
             batches, summary = notifications.aggregate(
                 stages.events, store, config, run_id, clock.now())
             sent = notifications.dispatch(batches, summary, deps.sink, store)
@@ -284,7 +299,7 @@ def run_token_push(
 
 def _emit_run_telemetry(report: RunReport, config: GlobalConfig,
                         deps: AdapterBundle) -> None:
-    samples = observability.report_to_metrics(report, report.ended)
+    samples = observability.report_to_metrics(report)
     if config.metrics_gateway_url:
         text = observability.render_exposition(samples)
         observability.push_metrics(text, config.metrics_gateway_url,
@@ -294,11 +309,10 @@ def _emit_run_telemetry(report: RunReport, config: GlobalConfig,
                                    http=deps.http)
 
 
-def build_spans(report: RunReport,
-                root_name: str = "token-push") -> list[observability.SpanRecord]:
+def build_spans(report: RunReport) -> list[observability.SpanRecord]:
     """One root span for the run plus one child span per stage result."""
     root = observability.record_span(
-        root_name, None, report.started, report.ended,
+        "token-push", None, report.started, report.ended,
         status="ok" if report.ok else "error",
         attributes={"run_id": report.run_id},
     )

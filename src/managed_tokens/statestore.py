@@ -2,10 +2,11 @@
 
 Two tables: account -> UID mappings, and per-(service, node) consecutive
 distribution-failure counters. Backed by a single sqlite database under
-``{state_dir}/db/`` with an exclusive-writer flock, owner-only permissions,
-and atomic single-record updates (sqlite's journal gives crash safety:
-a reader after a crash sees either the old or the new record, never a torn
-one).
+``{state_dir}/db/`` with an exclusive-writer flock and owner-only
+permissions. Each lone write commits by itself, and :meth:`Store.transaction`
+makes a group of writes one commit (sqlite's journal gives crash safety: a
+reader after a crash sees every write of a commit or none of them, never a
+torn record).
 
 ``consecutive_failures`` counts *final* per-run outcomes: one scheduled run
 contributes at most one success/failure per (service, node), after intra-run
@@ -16,12 +17,13 @@ breakage keeps surfacing without per-run alarm noise.
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import os
 import sqlite3
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 DB_FILENAME = "managed-tokens.sqlite"
 LOCK_FILENAME = "writer.lock"
@@ -98,9 +100,10 @@ class Store:
         # inherit it instead of the umask default.
         fd = os.open(self._db_path, os.O_RDWR | os.O_CREAT, 0o600)
         os.close(fd)
-        self._mutex = threading.Lock()
+        self._mutex = threading.RLock()
         try:
-            self._conn = sqlite3.connect(self._db_path, check_same_thread=False)
+            self._conn = sqlite3.connect(self._db_path, check_same_thread=False,
+                                         isolation_level=None)
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS uids ("
@@ -117,7 +120,6 @@ class Store:
                 " last_notified_count INTEGER NOT NULL,"
                 " PRIMARY KEY (service, node))"
             )
-            self._conn.commit()
         except sqlite3.DatabaseError as exc:
             self._release_lock()
             raise CorruptStore(
@@ -149,6 +151,21 @@ class Store:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Commit every write made inside the block at once, or none of them
+        if the block raises. The block holds the store's mutex, so another
+        thread's write waits for it instead of joining it."""
+        with self._mutex:
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+                self._conn.execute("COMMIT")
+            except BaseException:
+                if self._conn.in_transaction:  # a failed COMMIT may have ended it
+                    self._conn.execute("ROLLBACK")
+                raise
+
     # -- UID records ---------------------------------------------------------
 
     def upsert_uid(self, account: str, uid: int, now: float) -> None:
@@ -161,7 +178,6 @@ class Store:
                 " fetched_at=excluded.fetched_at",
                 (account, uid, now),
             )
-            self._conn.commit()
 
     def lookup_uid(self, account: str) -> Optional[int]:
         with self._mutex:
@@ -207,7 +223,6 @@ class Store:
                 " last_notified_count=excluded.last_notified_count",
                 (service, node, failures, now, notified),
             )
-            self._conn.commit()
         return FailureCounter(service, node, failures, now, notified)
 
     def get_counter(self, service: str, node: str) -> Optional[FailureCounter]:
@@ -229,7 +244,6 @@ class Store:
                 " WHERE service = ? AND node = ?",
                 (service, node),
             )
-            self._conn.commit()
 
     def counters(self) -> list[FailureCounter]:
         with self._mutex:

@@ -75,6 +75,16 @@ class TestTokenPush:
         assert "2 service(s), 1 with failures" in out
         assert "dune_production: ticket FAILED (RuntimeError: lookup exploded)" in out
 
+    def test_unsaved_failure_counters_exit_one(self, sim_site, capsys, monkeypatch):
+        def disk_full(self, service, node, success, now):
+            raise statestore.StoreError("disk full")
+
+        monkeypatch.setattr(statestore.Store, "record_push_outcome", disk_full)
+        code = main_token_push(["--config", sim_config(sim_site)])
+        out = capsys.readouterr().out
+        assert code == EXIT_PARTIAL
+        assert "2 service(s), 2 with failures" in out
+
     def test_service_subset(self, sim_site, capsys):
         code = main_token_push(["--config", sim_config(sim_site),
                                 "--service", "mu2e_production"])

@@ -17,11 +17,9 @@ from managed_tokens.config import resolve_service
 from managed_tokens.credentials import VaultTokenFile
 from managed_tokens.distribution import (
     Destination,
-    ParallelismBudget,
     PushScheduler,
     compute_destinations,
 )
-from managed_tokens.statestore import open_store
 
 from conftest import Site
 
@@ -37,18 +35,16 @@ def stage_token(path):
     return VaultTokenFile(path=str(path), uid=4521)
 
 
-def run_scheduler(svc, token, store, transfer, budget, clock, rng=None):
-    """Push one service's token through a :class:`PushScheduler` of its own,
-    as a run does, and return its outcomes in node order. A failed counter
-    write is raised."""
-    scheduler = PushScheduler(budget, transfer, store, clock, rng)
-    scheduler.add(svc, token)
-    finished = []
-    while scheduler.busy:
-        finished += scheduler.step()[0]
+def run_scheduler(svc, token, transfer, limit, clock, rng=None):
+    """Push one service's token through a :class:`PushScheduler` of its own
+    with ``limit`` transfer workers, as a run does, and return its outcomes
+    in node order."""
+    with PushScheduler(limit, transfer, clock, rng) as scheduler:
+        scheduler.add(svc, token)
+        finished = []
+        while scheduler.busy:
+            finished += scheduler.step()[0]
     (push,) = finished
-    if push.failure is not None:
-        raise push.failure
     return [push.settled[i] for i in range(len(push.dests))]
 
 
@@ -88,11 +84,6 @@ class TestDestinations:
         assert dest.paths == ("/var/tokens/duneprod",
                               "/var/tokens/duneprod.production")
 
-    def test_tmp_dir_override_argument(self, site):
-        svc = one_service(site)
-        dest = compute_destinations(svc, "n", 7, tmp_dir="/othertmp")
-        assert dest.paths[0] == "/othertmp/vt_u7"
-
     def test_identical_paths_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             Destination(node="n", paths=("/tmp/a", "/tmp/a"))
@@ -113,8 +104,7 @@ class TestPushToken:
         svc = one_service(site, nodes=(self.NODE,),
                           overrides={"retry.max_attempts": max_attempts,
                                      "retry.base_backoff": base_backoff})
-        with open_store(str(site.state_dir)) as store, ParallelismBudget(1) as budget:
-            (outcome,) = run_scheduler(svc, token, store, transfer, budget, clock, rng=rng)
+        (outcome,) = run_scheduler(svc, token, transfer, 1, clock, rng=rng)
         return outcome
 
     def test_happy_path_lands_both_copies(self, site, staged_token):
@@ -205,15 +195,12 @@ class TestPushAll:
                  "submit2.example.org")
         svc = one_service(site, nodes=nodes)
         transfer = simkit.memory_transfer()
-        with open_store(str(site.state_dir)) as store:
-            outcomes = run_scheduler(svc, staged_token, store, transfer,
-                                     ParallelismBudget(4), simkit.FixedClock())
-            assert [o.node for o in outcomes] == list(nodes)
-            assert all(o.success for o in outcomes)
-            landed = transfer.files()
-            for node in nodes:
-                assert store.get_counter(svc.name, node).consecutive_failures == 0
-                assert len([k for k in landed if k[0] == node]) == 2
+        outcomes = run_scheduler(svc, staged_token, transfer, 4, simkit.FixedClock())
+        assert [o.node for o in outcomes] == list(nodes)
+        assert all(o.success for o in outcomes)
+        landed = transfer.files()
+        for node in nodes:
+            assert len([k for k in landed if k[0] == node]) == 2
 
     def test_one_down_node_does_not_stop_the_others(self, site, staged_token):
         svc = one_service(site, nodes=("ok1.example.org", "down.example.org",
@@ -222,29 +209,21 @@ class TestPushAll:
         faults = {"down.example.org": simkit.FaultSchedule(
             "t", (simkit.fail("unreachable"),))}
         transfer = simkit.memory_transfer(faults=faults)
-        with open_store(str(site.state_dir)) as store:
-            outcomes = run_scheduler(svc, staged_token, store, transfer,
-                                     ParallelismBudget(4), simkit.SystemClock())
-            by_node = {o.node: o for o in outcomes}
-            assert by_node["ok1.example.org"].success
-            assert by_node["ok2.example.org"].success
-            assert not by_node["down.example.org"].success
-            assert store.get_counter(svc.name,
-                                     "down.example.org").consecutive_failures == 1
-            assert store.get_counter(svc.name,
-                                     "ok1.example.org").consecutive_failures == 0
+        outcomes = run_scheduler(svc, staged_token, transfer, 4, simkit.SystemClock())
+        by_node = {o.node: o for o in outcomes}
+        assert by_node["ok1.example.org"].success
+        assert by_node["ok2.example.org"].success
+        assert not by_node["down.example.org"].success
 
     def test_budget_of_one_serializes_the_delays(self, site, staged_token):
         nodes = tuple(f"n{i}.example.org" for i in range(4))
         svc = one_service(site, nodes=nodes)
         faults = {n: simkit.FaultSchedule("t", (simkit.delay(0.05), simkit.succeed()))
                   for n in nodes}
-        with open_store(str(site.state_dir)) as store:
-            transfer = simkit.memory_transfer(faults=faults)
-            begin = time.monotonic()
-            outcomes = run_scheduler(svc, staged_token, store, transfer,
-                                     ParallelismBudget(1), simkit.SystemClock())
-            serial = time.monotonic() - begin
+        transfer = simkit.memory_transfer(faults=faults)
+        begin = time.monotonic()
+        outcomes = run_scheduler(svc, staged_token, transfer, 1, simkit.SystemClock())
+        serial = time.monotonic() - begin
         assert all(o.success for o in outcomes)
         assert serial >= 0.2
         assert transfer.high_water <= 1
@@ -254,19 +233,18 @@ class TestPushAll:
         svc = one_service(site, nodes=nodes)
         faults = {n: simkit.FaultSchedule("t", (simkit.delay(0.05), simkit.succeed()))
                   for n in nodes}
-        with open_store(str(site.state_dir)) as store:
-            transfer = simkit.memory_transfer(faults=faults)
-            begin = time.monotonic()
-            outcomes = run_scheduler(svc, staged_token, store, transfer,
-                                     ParallelismBudget(4), simkit.SystemClock())
-            parallel = time.monotonic() - begin
+        transfer = simkit.memory_transfer(faults=faults)
+        begin = time.monotonic()
+        outcomes = run_scheduler(svc, staged_token, transfer, 4, simkit.SystemClock())
+        parallel = time.monotonic() - begin
         assert all(o.success for o in outcomes)
         assert parallel < 0.2
         assert transfer.high_water <= 4
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            ParallelismBudget(0)
+        with pytest.raises(ValueError), \
+                PushScheduler(0, simkit.memory_transfer(), simkit.FixedClock()):
+            pass
 
     def test_non_transfer_error_fails_only_that_node(self, site, staged_token):
         nodes = ("ok1.example.org", "broken.example.org", "ok2.example.org")
@@ -282,21 +260,15 @@ class TestPushAll:
                 self.inner.put(local_path, node, remote_path, timeout=timeout)
 
         inner = simkit.memory_transfer()
-        with open_store(str(site.state_dir)) as store, ParallelismBudget(4) as budget:
-            outcomes = run_scheduler(svc, staged_token, store,
-                                     DiskFullOn(inner, "broken.example.org"), budget,
-                                     simkit.FixedClock())
-            by_node = {o.node: o for o in outcomes}
-            broken = by_node["broken.example.org"]
-            assert not broken.success
-            assert broken.error == "OSError: disk full"
-            assert broken.attempts == 1  # not a TransferError: never retried
-            assert by_node["ok1.example.org"].success
-            assert by_node["ok2.example.org"].success
-            assert store.get_counter(svc.name,
-                                     "broken.example.org").consecutive_failures == 1
-            assert store.get_counter(svc.name,
-                                     "ok1.example.org").consecutive_failures == 0
+        outcomes = run_scheduler(svc, staged_token, DiskFullOn(inner, "broken.example.org"),
+                                 4, simkit.FixedClock())
+        by_node = {o.node: o for o in outcomes}
+        broken = by_node["broken.example.org"]
+        assert not broken.success
+        assert broken.error == "OSError: disk full"
+        assert broken.attempts == 1  # not a TransferError: never retried
+        assert by_node["ok1.example.org"].success
+        assert by_node["ok2.example.org"].success
 
     def test_service_override_caps_its_in_flight_attempts(self, site, staged_token):
         nodes = tuple(f"n{i}.example.org" for i in range(4))
@@ -304,11 +276,9 @@ class TestPushAll:
         faults = {n: simkit.FaultSchedule("t", (simkit.delay(0.05), simkit.succeed()))
                   for n in nodes}
         transfer = simkit.memory_transfer(faults=faults)
-        with open_store(str(site.state_dir)) as store, ParallelismBudget(4) as budget:
-            begin = time.monotonic()
-            outcomes = run_scheduler(svc, staged_token, store, transfer, budget,
-                                     simkit.SystemClock())
-            serial = time.monotonic() - begin
+        begin = time.monotonic()
+        outcomes = run_scheduler(svc, staged_token, transfer, 4, simkit.SystemClock())
+        serial = time.monotonic() - begin
         assert all(o.success for o in outcomes)
         assert transfer.high_water == 1
         assert serial >= 0.2
@@ -326,9 +296,8 @@ class TestPushAll:
 
         faults = {down: simkit.FaultSchedule("t", (simkit.fail("unreachable"),))}
         transfer = simkit.memory_transfer(faults=faults)
-        with open_store(str(site.state_dir)) as store, ParallelismBudget(1) as budget:
-            outcomes = run_scheduler(svc, staged_token, store, transfer, budget,
-                                     simkit.SystemClock(), rng=TopOfWindow())
+        outcomes = run_scheduler(svc, staged_token, transfer, 1, simkit.SystemClock(),
+                                 rng=TopOfWindow())
         assert [o.success for o in outcomes] == [False, True, True, True]
         entries = transfer.log.entries()
         retries = [e for e in entries if e.args[0] == down]

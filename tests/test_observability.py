@@ -58,7 +58,7 @@ class TestReportToMetrics:
             push_outcomes=[PushOutcome("a_svc", "n1", True, 1),
                            PushOutcome("b_svc", "n1", True, 1)],
         )
-        samples = report_to_metrics(report, now=999.0)
+        samples = report_to_metrics(report)
         text = render_exposition(samples)
         parsed = exposition_parser.parse(text)
 
@@ -89,7 +89,7 @@ class TestReportToMetrics:
                            PushOutcome("a_svc", "nY", True, 1)],
         )
         parsed = exposition_parser.parse(render_exposition(
-            report_to_metrics(report, now=0.0)))
+            report_to_metrics(report)))
         assert exposition_parser.find(
             parsed, "managed_tokens_stage_failure_total",
             service="a_svc", stage="ticket").value == 1.0
@@ -106,7 +106,7 @@ class TestReportToMetrics:
     def test_every_metric_name_carries_the_prefix(self):
         report = make_report({"a": [result("a", "ticket")]},
                              push_outcomes=[PushOutcome("a", "n", True, 1)])
-        for sample in report_to_metrics(report, now=0.0):
+        for sample in report_to_metrics(report):
             assert sample.name.startswith("managed_tokens_")
 
 

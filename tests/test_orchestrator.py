@@ -66,6 +66,8 @@ class TestHappyPath:
         assert report.notifications_sent == 0
         assert bundle.sink.messages == []
         assert report.ended >= report.started
+        with open_store(cfg.state_dir) as store:
+            assert [c.consecutive_failures for c in store.counters()] == [0, 0, 0, 0]
 
     def test_tokens_land_on_every_node(self, site):
         site.add_service("dune_production")
@@ -310,30 +312,65 @@ class TestFailureIsolation:
         assert not report.ok
         assert all(r.success for r in report.per_service["mu2e_production"])
 
-    def test_failed_counter_write_fails_only_that_services_push(self, site,
-                                                                monkeypatch):
+    def test_failed_counter_save_changes_no_counter(self, site, monkeypatch):
         site.add_service("dune_production")
         site.add_service("mu2e_production")
         cfg = site.config()
         site.seed_uids(site.uid_map())
-        record = statestore.Store.record_push_outcome
+        faults = {"submit2.example.org": simkit.FaultSchedule(
+            "t", (simkit.fail("no route to host"),))}
+        run_token_push(cfg, make_bundle(transfer_faults=faults))
+        with open_store(cfg.state_dir) as store:
+            after_first = store.counters()
+        assert [c.consecutive_failures for c in after_first] == [0, 1, 0, 1]
 
-        def broken_for_dune(self, service, node, success, now):
-            if service == "dune_production":
+        record = statestore.Store.record_push_outcome
+        calls = []
+
+        def third_write_fails(self, service, node, success, now):
+            calls.append((service, node))
+            if len(calls) == 3:
                 raise statestore.StoreError("disk full")
             return record(self, service, node, success, now)
 
-        monkeypatch.setattr(statestore.Store, "record_push_outcome", broken_for_dune)
-        bundle = make_bundle()
+        monkeypatch.setattr(statestore.Store, "record_push_outcome", third_write_fails)
+        bundle = make_bundle(clock=simkit.FixedClock(start=1_800_000_000.0))
         report = run_token_push(cfg, bundle)
-        push_result = report.per_service["dune_production"][-1]
-        assert push_result.stage == "push" and not push_result.success
-        assert push_result.detail == "StoreError: disk full"
-        assert all(r.success for r in report.per_service["mu2e_production"])
-        # The copies still landed; only their counters could not be written.
+        assert len(calls) == 3
+        with open_store(cfg.state_dir) as store:
+            assert store.counters() == after_first
+        assert not report.ok
+        for name in ("dune_production", "mu2e_production"):
+            push_result = report.per_service[name][-1]
+            assert push_result.stage == "push" and not push_result.success
+            assert push_result.detail == "failure counters not saved: StoreError: disk full"
+        # The copies still landed; only their counters could not be saved.
+        assert all(o.success for o in report.push_outcomes)
         assert len(bundle.transfer.log.entries()) == 8
         (summary,) = bundle.sink.messages
-        assert summary.body.count("disk full") == 2  # one line per node
+        assert summary.body.count("failure counters not saved") == 4  # one per node
+
+    def test_non_transfer_error_counts_against_only_that_node(self, site):
+        site.add_service("dune_production",
+                         nodes=("ok1.example.org", "broken.example.org",
+                                "ok2.example.org"))
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+        bundle = make_bundle()
+        put = bundle.transfer.put
+
+        def disk_full_on_broken(local_path, node, remote_path, timeout=None):
+            if node == "broken.example.org":
+                raise OSError("disk full")
+            put(local_path, node, remote_path, timeout=timeout)
+
+        bundle.transfer.put = disk_full_on_broken
+        report = run_token_push(cfg, bundle)
+        push_result = report.per_service["dune_production"][-1]
+        assert push_result.detail == "failed nodes: broken.example.org"
+        with open_store(cfg.state_dir) as store:
+            assert {c.node: c.consecutive_failures for c in store.counters()} == {
+                "broken.example.org": 1, "ok1.example.org": 0, "ok2.example.org": 0}
 
     def test_every_stage_failure_logs_at_error_exactly_once(self, site, caplog):
         site.add_service("dune_production")

@@ -16,6 +16,7 @@ from managed_tokens.statestore import (
     CorruptStore,
     FailureCounter,
     LockHeld,
+    StoreError,
     notification_due,
     open_store,
 )
@@ -205,6 +206,30 @@ class TestFailureCounters:
             assert counter is None
         else:
             assert counter.consecutive_failures == expected
+
+
+class TestTransaction:
+    def test_commit_saves_every_write(self, tmp_path):
+        with open_store(str(tmp_path)) as s:
+            with s.transaction():
+                s.record_push_outcome("svc", "n1", False, now=1.0)
+                s.record_push_outcome("svc", "n2", True, now=1.0)
+        with open_store(str(tmp_path)) as s:
+            assert s.counters() == [FailureCounter("svc", "n1", 1, 1.0, 0),
+                                    FailureCounter("svc", "n2", 0, 1.0, 0)]
+
+    def test_rollback_keeps_earlier_rows_and_a_later_write_persists(self, tmp_path):
+        with open_store(str(tmp_path)) as s:
+            s.record_push_outcome("svc", "n1", False, now=1.0)
+            with pytest.raises(StoreError, match="disk full"):
+                with s.transaction():
+                    s.record_push_outcome("svc", "n1", False, now=2.0)
+                    s.record_push_outcome("svc", "n2", False, now=2.0)
+                    raise StoreError("disk full")
+            s.upsert_uid("duneprod", 4521, now=3.0)
+        with open_store(str(tmp_path)) as s:
+            assert s.counters() == [FailureCounter("svc", "n1", 1, 1.0, 0)]
+            assert s.lookup_uid("duneprod") == 4521
 
 
 class TestNotificationDue:
