@@ -143,12 +143,6 @@ def main_token_push(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SETUP
 
-    # Validate the selection before any stage runs.
-    unknown = sorted(set(args.service) - set(config.services))
-    if unknown:
-        print("error: unknown service(s): " + ", ".join(unknown), file=sys.stderr)
-        return EXIT_SETUP
-
     deps = adapters.build_bundle(config)
     cancel = threading.Event()
     _install_cancel_handler(cancel)

@@ -34,18 +34,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class Destination:
-    node: str
-    paths: tuple[str, str]  # (user-style, uid/issuer/role-style)
-
-    def __post_init__(self) -> None:
-        if len(self.paths) != 2 or self.paths[0] == self.paths[1]:
-            raise ValueError("a destination carries exactly two distinct paths")
-        if not all(os.path.isabs(p) for p in self.paths):
-            raise ValueError("destination paths must be absolute")
-
-
-@dataclass(frozen=True)
 class PushOutcome:
     service: str
     node: str
@@ -54,8 +42,9 @@ class PushOutcome:
     error: Optional[str] = None
 
 
-def compute_destinations(svc: ResolvedService, node: str, uid: int) -> Destination:
-    """Render the two remote paths for one node from the configured templates."""
+def compute_destinations(svc: ResolvedService, uid: int) -> tuple[str, str]:
+    """Render a service's two remote paths, the same on every node, from the
+    configured templates: (user-style, uid/issuer/role-style)."""
     if uid < 0:
         raise ValueError("uid must be >= 0")
     values = {
@@ -66,16 +55,20 @@ def compute_destinations(svc: ResolvedService, node: str, uid: int) -> Destinati
         "service": svc.name,
         "account": svc.account,
     }
-    user_path = svc.destination_templates.user.format(**values)
-    role_path = svc.destination_templates.role.format(**values)
-    return Destination(node=node, paths=(user_path, role_path))
+    paths = (svc.destination_templates.user.format(**values),
+             svc.destination_templates.role.format(**values))
+    if paths[0] == paths[1]:
+        raise ValueError("destination paths must be distinct")
+    if not all(os.path.isabs(p) for p in paths):
+        raise ValueError("destination paths must be absolute")
+    return paths
 
 
-def _attempt(local_path: str, dest: Destination, transfer: TransferAdapter,
-             timeout: Optional[float]) -> None:
+def _attempt(local_path: str, node: str, paths: tuple[str, str],
+             transfer: TransferAdapter, timeout: Optional[float]) -> None:
     """One attempt: both copies to one node. The first failed copy raises."""
-    for path in dest.paths:
-        transfer.put(local_path, dest.node, path, timeout=timeout)
+    for path in paths:
+        transfer.put(local_path, node, path, timeout=timeout)
 
 
 @dataclass(eq=False)
@@ -84,7 +77,7 @@ class ServicePush:
 
     svc: ResolvedService
     token: VaultTokenFile
-    dests: list[Destination]
+    paths: tuple[str, str]  # the same on every node of svc.nodes
     started: float
     attempts: list[int]
     ready: collections.deque
@@ -138,10 +131,10 @@ class PushScheduler:
         check = validate_token_file(token.path, svc.token_prefix_check)
         if not check.ok:
             raise ValueError(f"staged token at {token.path} failed validation: {check}")
-        dests = [compute_destinations(svc, node, token.uid) for node in svc.nodes]
-        push = ServicePush(svc, token, dests, self._clock.now(), [0] * len(dests),
-                           collections.deque(range(len(dests))))
-        (self._open if dests else self._finished).append(push)
+        push = ServicePush(svc, token, compute_destinations(svc, token.uid),
+                           self._clock.now(), [0] * len(svc.nodes),
+                           collections.deque(range(len(svc.nodes))))
+        (self._open if svc.nodes else self._finished).append(push)
 
     def step(self, others: Collection[Future] = ()) -> tuple[list[ServicePush], set[Future]]:
         """Start what may start, then wait until an attempt or one of
@@ -180,8 +173,9 @@ class PushScheduler:
                 i = push.ready.popleft()
                 push.attempts[i] += 1
                 push.running += 1
-                future = self._pool.submit(_attempt, push.token.path, push.dests[i],
-                                           self._transfer, push.svc.timeouts.transfer)
+                future = self._pool.submit(_attempt, push.token.path, push.svc.nodes[i],
+                                           push.paths, self._transfer,
+                                           push.svc.timeouts.transfer)
                 self._in_flight[future] = (push, i)
             if len(self._in_flight) >= self._window:
                 return
@@ -196,15 +190,15 @@ class PushScheduler:
             retryable = isinstance(exc, TransferError)
             error = str(exc) if retryable else describe_error(exc)
             logger.warning("transfer attempt failed service=%s node=%s attempt=%d error=%s",
-                           push.svc.name, push.dests[i].node, push.attempts[i], error)
+                           push.svc.name, push.svc.nodes[i], push.attempts[i], error)
             if retryable and push.attempts[i] < push.svc.retry.max_attempts:
                 window = push.svc.retry.base_backoff * 2 ** (push.attempts[i] - 1)
                 due = self._clock.now() + self._rng.uniform(0, window)
                 heapq.heappush(self._backoff, (due, next(self._order), push, i))
                 return
-        push.settled[i] = PushOutcome(service=push.svc.name, node=push.dests[i].node,
+        push.settled[i] = PushOutcome(service=push.svc.name, node=push.svc.nodes[i],
                                       success=error is None, attempts=push.attempts[i],
                                       error=error)
-        if len(push.settled) == len(push.dests):
+        if len(push.settled) == len(push.svc.nodes):
             self._open.remove(push)
             self._finished.append(push)

@@ -14,11 +14,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .config import GlobalConfig
 from .interfaces import NotificationSink
-from .statestore import Store, notification_due
+from .statestore import FailureCounter, Store, notification_due
 
 logger = logging.getLogger(__name__)
 
@@ -112,7 +112,7 @@ def render_admin_summary(summary: AdminSummary) -> str:
 
 def aggregate(
     events: Iterable[ErrorEvent],
-    store: Store,
+    counters: Mapping[tuple[str, str], FailureCounter],
     config: GlobalConfig,
     run_id: str,
     now: float,
@@ -120,34 +120,28 @@ def aggregate(
     """Turn the run's closed event stream into stakeholder batches plus an
     admin summary.
 
-    Stakeholder batches are gated by the persistent failure counters: only
-    (service, node) pairs whose streak is notification-due produce one.
-    Nothing is written here; :func:`dispatch` advances a node's watermark
-    once its batch is sent. Non-push failures (registry, ticket, vault store)
-    reach only the admin summary. The result is independent of the order
-    events arrived in.
+    ``counters`` holds the failure counters this run saved, by (service,
+    node). Only a node with a push event this run and a saved counter that
+    is notification-due is paged, with its latest push error; a node whose
+    counter was not saved is never paged from an older one. Nothing is
+    written here; :func:`dispatch` advances a node's watermark once its
+    batch is sent. Non-push failures (registry, ticket, vault store) reach
+    only the admin summary. The result is independent of the order events
+    arrived in.
     """
     all_events = sorted(events, key=_event_sort_key)
     threshold = config.notification.threshold
 
-    # Latest push event per (service, node).
-    last_push: dict[tuple[str, str], ErrorEvent] = {}
-    for event in all_events:
-        if event.stage == "push" and event.node is not None:
-            key = (event.service, event.node)
-            prev = last_push.get(key)
-            if prev is None or (event.occurred_at, event.message) >= (prev.occurred_at,
-                                                                      prev.message):
-                last_push[key] = event
-
+    # Latest push error per (service, node): the later event overwrites.
+    last_error = {(e.service, e.node): e.message
+                  for e in sorted(all_events, key=lambda e: (e.occurred_at, e.message))
+                  if e.node is not None}
     due: dict[str, list[tuple[str, int, str]]] = {}
-    for (service, node), event in sorted(last_push.items()):
-        counter = store.get_counter(service, node)
-        if counter is None:
-            continue
-        if notification_due(counter, threshold):
+    for (service, node), message in sorted(last_error.items()):
+        counter = counters.get((service, node))
+        if counter is not None and notification_due(counter, threshold):
             due.setdefault(service, []).append(
-                (node, counter.consecutive_failures, event.message))
+                (node, counter.consecutive_failures, message))
 
     batches: list[NotificationBatch] = []
     for service in sorted(due):
@@ -186,11 +180,11 @@ def dispatch(
 ) -> int:
     """Send every batch plus the admin summary (when non-empty).
 
-    A batch's due nodes are marked notified in ``store`` only once its send
-    returns, so a failed send, or a batch without recipients, stays due for
-    the next run. Sink failures are logged and skipped, never raised:
-    notification delivery must not take the run down. Returns the number of
-    successful sends.
+    A batch's due nodes are marked notified in ``store``, in one transaction,
+    only once its send returns, so a failed send, or a batch without
+    recipients, stays due for the next run. Sink failures are logged and
+    skipped, never raised: notification delivery must not take the run down.
+    Returns the number of successful sends.
     """
     sent = 0
     for batch in batches:
@@ -204,8 +198,9 @@ def dispatch(
             logger.error("notification send failed service=%s error=%s", batch.service, exc)
             continue
         sent += 1
-        for node, _, _ in batch.node_failures:
-            store.mark_notified(batch.service, node)
+        with store.transaction():
+            for node, _, _ in batch.node_failures:
+                store.mark_notified(batch.service, node)
     if summary is not None and summary.events:
         if not summary.recipients:
             logger.warning("no admin recipients configured; run summary not sent")

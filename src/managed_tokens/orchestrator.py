@@ -16,8 +16,8 @@ while it drains, whatever the number of services or nodes. A stage failure
 stops that service's later stages and never touches other services. Once
 every stage has finished, every settled node's failure counter is saved in
 one store transaction, and then the notification threshold policy is
-applied to the run's ErrorEvents. Metrics and spans are emitted at the end
-and never fail the run.
+applied to the counters that transaction wrote and to the run's ErrorEvents.
+Metrics and spans are emitted at the end and never fail the run.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .distribution import PushOutcome, PushScheduler, ServicePush
 from .interfaces import AdapterBundle, describe_error
 from .notifications import STAGES, ErrorEvent
 from .registry import RefreshReport
-from .statestore import Store, StoreError, open_store
+from .statestore import FailureCounter, Store, StoreError, open_store
 
 logger = logging.getLogger(__name__)
 
@@ -197,22 +197,23 @@ class _Stages:
             detail, failed = f"{len(outcomes)} node(s)", None
         self.record(name, "push", push.started, detail, failed)
 
-    def save_counters(self) -> None:
+    def save_counters(self) -> dict[tuple[str, str], FailureCounter]:
         """Fold every settled node into its failure counter in one store
-        transaction. If it raises, no counter changes, and each service that
-        pushed gets one more failed push result, on each of its nodes."""
+        transaction, and return the counters it wrote. If it raises, no
+        counter changes, it returns ``{}``, and each service that pushed gets
+        one more failed push result, on each of its nodes."""
         started = self.deps.clock.now()
         try:
             with self.store.transaction():
-                for name in sorted(self.outcomes):
-                    for outcome in self.outcomes[name]:
-                        self.store.record_push_outcome(name, outcome.node,
-                                                       outcome.success, started)
+                return {(name, o.node): self.store.record_push_outcome(
+                            name, o.node, o.success, started)
+                        for name in sorted(self.outcomes) for o in self.outcomes[name]}
         except Exception as exc:
             message = "failure counters not saved: " + describe_error(exc)
             for name in sorted(self.outcomes):
                 self.record(name, "push", started, message,
                             {o.node: message for o in self.outcomes[name]})
+            return {}
 
 
 def run_token_push(
@@ -276,9 +277,9 @@ def run_token_push(
 
         sent = 0
         if not dry_run:
-            stages.save_counters()
+            counters = stages.save_counters()
             batches, summary = notifications.aggregate(
-                stages.events, store, config, run_id, clock.now())
+                stages.events, counters, config, run_id, clock.now())
             sent = notifications.dispatch(batches, summary, deps.sink, store)
     finally:
         store.close()

@@ -15,11 +15,7 @@ from hypothesis import strategies as st
 from managed_tokens import simkit
 from managed_tokens.config import resolve_service
 from managed_tokens.credentials import VaultTokenFile
-from managed_tokens.distribution import (
-    Destination,
-    PushScheduler,
-    compute_destinations,
-)
+from managed_tokens.distribution import PushScheduler, compute_destinations
 
 from conftest import Site
 
@@ -45,7 +41,7 @@ def run_scheduler(svc, token, transfer, limit, clock, rng=None):
         while scheduler.busy:
             finished += scheduler.step()[0]
     (push,) = finished
-    return [push.settled[i] for i in range(len(push.dests))]
+    return [push.settled[i] for i in range(len(push.svc.nodes))]
 
 
 @pytest.fixture
@@ -56,41 +52,41 @@ def staged_token(tmp_path):
 class TestDestinations:
     def test_default_templates(self, site):
         svc = one_service(site)
-        dest = compute_destinations(svc, "submit1.example.org", 4521)
-        assert dest.node == "submit1.example.org"
-        assert dest.paths == (
+        assert compute_destinations(svc, 4521) == (
             f"{svc.tmp_dir}/vt_u4521",
             f"{svc.tmp_dir}/vt_u4521-dunevault_production",
         )
 
     def test_uid_zero(self, site):
         svc = one_service(site)
-        dest = compute_destinations(svc, "n", 0)
-        assert dest.paths[0].endswith("/vt_u0")
-        assert dest.paths[1].endswith("/vt_u0-dunevault_production")
+        user, role = compute_destinations(svc, 0)
+        assert user.endswith("/vt_u0")
+        assert role.endswith("/vt_u0-dunevault_production")
 
     def test_negative_uid_rejected(self, site):
         svc = one_service(site)
         with pytest.raises(ValueError):
-            compute_destinations(svc, "n", -1)
+            compute_destinations(svc, -1)
+
+    def custom(self, site, user, role):
+        return one_service(site, overrides={"destination_templates.user": user,
+                                            "destination_templates.role": role})
 
     def test_custom_templates(self, site):
-        site.add_service("dune_production", overrides={
-            "destination_templates.user": "/var/tokens/{account}",
-            "destination_templates.role": "/var/tokens/{account}.{role}",
-        })
-        svc = resolve_service(site.config(), "dune_production")
-        dest = compute_destinations(svc, "n", 4521)
-        assert dest.paths == ("/var/tokens/duneprod",
-                              "/var/tokens/duneprod.production")
+        svc = self.custom(site, "/var/tokens/{account}", "/var/tokens/{account}.{role}")
+        assert compute_destinations(svc, 4521) == ("/var/tokens/duneprod",
+                                                   "/var/tokens/duneprod.production")
 
-    def test_identical_paths_rejected(self):
+    def test_identical_paths_rejected(self, site):
+        # Distinct templates that render to the same path.
+        svc = self.custom(site, "/var/tokens/{role}", "/var/tokens/production")
         with pytest.raises(ValueError, match="distinct"):
-            Destination(node="n", paths=("/tmp/a", "/tmp/a"))
+            compute_destinations(svc, 4521)
 
-    def test_relative_path_rejected(self):
+    def test_relative_path_rejected(self, site):
+        svc = self.custom(site, "/var/tokens/{account}", "tokens/{account}.{role}")
         with pytest.raises(ValueError, match="absolute"):
-            Destination(node="n", paths=("/tmp/a", "tmp/b"))
+            compute_destinations(svc, 4521)
 
 
 class TestPushToken:

@@ -17,9 +17,9 @@ from managed_tokens.notifications import (
     render,
     render_admin_summary,
 )
-from managed_tokens.statestore import open_store
+from managed_tokens.statestore import FailureCounter, open_store
 
-from conftest import ReferenceCounter, Site
+from conftest import ReferenceCounter
 
 
 def push_event(service="dune_production", node="submit1.example.org",
@@ -60,13 +60,21 @@ class TestErrorEvent:
         stage_event(stage="vault_store")
 
 
+KEY = ("dune_production", "submit1.example.org")
+
+
+def streak(failures, notified=0, service="dune_production",
+           node="submit1.example.org"):
+    """The counters a run saved, holding one (service, node) counter."""
+    return {(service, node): FailureCounter(service, node, failures, 0.0, notified)}
+
+
 class TestAggregate:
-    def make_config(self, site=None, threshold=3, **services):
-        site = site if site is not None else self.site
+    def make_config(self, threshold=3, **services):
         for name, kwargs in services.items():
-            site.add_service(name, **kwargs)
-        return site.config(notification={"admin_recipients": ["ops@example.org"],
-                                         "threshold": threshold})
+            self.site.add_service(name, **kwargs)
+        return self.site.config(notification={"admin_recipients": ["ops@example.org"],
+                                              "threshold": threshold})
 
     @pytest.fixture(autouse=True)
     def _site(self, site):
@@ -74,16 +82,13 @@ class TestAggregate:
 
     def test_no_events_no_output(self):
         cfg = self.make_config(dune_production={})
-        with open_store(str(self.site.state_dir)) as store:
-            batches, summary = aggregate([], store, cfg, "r1", now=500.0)
+        batches, summary = aggregate([], {}, cfg, "r1", now=500.0)
         assert batches == []
         assert summary.events == ()
 
     def test_below_threshold_reaches_only_the_admin_summary(self):
         cfg = self.make_config(dune_production={})
-        with open_store(str(self.site.state_dir)) as store:
-            seed_failures(store, "dune_production", "submit1.example.org", 2)
-            batches, summary = aggregate([push_event()], store, cfg, "r1", 500.0)
+        batches, summary = aggregate([push_event()], streak(2), cfg, "r1", 500.0)
         assert batches == []
         assert summary.events == (push_event(),)
 
@@ -91,7 +96,8 @@ class TestAggregate:
         cfg = self.make_config(dune_production={})
         with open_store(str(self.site.state_dir)) as store:
             seed_failures(store, "dune_production", "submit1.example.org", 3)
-            batches, summary = aggregate([push_event()], store, cfg, "r1", 500.0)
+            saved = {KEY: store.get_counter(*KEY)}
+            batches, summary = aggregate([push_event()], saved, cfg, "r1", 500.0)
             (batch,) = batches
             assert batch.subject == ("[managed-tokens] dune_production: "
                                      "token distribution failures")
@@ -101,28 +107,28 @@ class TestAggregate:
             assert "3 consecutive failed distribution attempts" in batch.body
             assert batch.body == render(batch)
             # Aggregating writes nothing: the batch stays due until it is sent.
-            again, _ = aggregate([push_event()], store, cfg, "r1", 500.0)
+            again, _ = aggregate([push_event()], {KEY: store.get_counter(*KEY)},
+                                 cfg, "r1", 500.0)
             assert again == batches
             # Sending advanced the watermark: aggregating again stays quiet.
             assert dispatch(batches, None, simkit.RecordingSink(), store) == 1
-            again, _ = aggregate([push_event()], store, cfg, "r1", 500.0)
+            after = store.get_counter(*KEY)
+            assert after.last_notified_count == 3
+            again, _ = aggregate([push_event()], {KEY: after}, cfg, "r1", 500.0)
             assert again == []
 
     def test_non_push_failures_never_page_stakeholders(self):
         cfg = self.make_config(dune_production={})
-        with open_store(str(self.site.state_dir)) as store:
-            batches, summary = aggregate(
-                [stage_event(stage="ticket"), stage_event(stage="vault_store",
-                                                          message="storer died")],
-                store, cfg, "r1", 500.0)
+        batches, summary = aggregate(
+            [stage_event(stage="ticket"), stage_event(stage="vault_store",
+                                                      message="storer died")],
+            streak(5), cfg, "r1", 500.0)
         assert batches == []
         assert len(summary.events) == 2
 
     def test_stale_counter_without_a_fresh_event_stays_quiet(self):
         cfg = self.make_config(dune_production={})
-        with open_store(str(self.site.state_dir)) as store:
-            seed_failures(store, "dune_production", "submit1.example.org", 5)
-            batches, _ = aggregate([], store, cfg, "r1", 500.0)
+        batches, _ = aggregate([], streak(5), cfg, "r1", 500.0)
         assert batches == []
 
     def test_two_services_two_batches_disjoint_recipients(self):
@@ -131,14 +137,11 @@ class TestAggregate:
         events = [push_event(), push_event(service="mu2e_production",
                                            node="submit2.example.org",
                                            message="disk full")]
-        with open_store(str(self.site.state_dir)) as store:
-            seed_failures(store, "dune_production", "submit1.example.org", 3)
-            seed_failures(store, "mu2e_production", "submit2.example.org", 4)
-            store.mark_notified("mu2e_production", "submit2.example.org")
-            # mu2e was acknowledged at 4; one more failure is below threshold.
-            store.record_push_outcome("mu2e_production", "submit2.example.org",
-                                      False, now=9.0)
-            batches, _ = aggregate(events, store, cfg, "r1", 500.0)
+        # mu2e was acknowledged at 4; one more failure is below threshold.
+        saved = {**streak(3),
+                 **streak(5, notified=4, service="mu2e_production",
+                          node="submit2.example.org")}
+        batches, _ = aggregate(events, saved, cfg, "r1", 500.0)
         assert [b.service for b in batches] == ["dune_production"]
 
         # Reference replay of the same history agrees.
@@ -147,6 +150,7 @@ class TestAggregate:
             reference.record(False)
         reference.ack()
         reference.record(False)
+        assert (reference.streak, reference.watermark) == (5, 4)
         assert not reference.due(3)
 
     def test_matches_reference_policy_across_services(self):
@@ -159,16 +163,16 @@ class TestAggregate:
         }
         events = [push_event(service=s, node=n, message="down")
                   for (s, n) in histories]
-        with open_store(str(self.site.state_dir)) as store:
-            expected_due = set()
-            for (service, node), outcomes in histories.items():
-                reference = ReferenceCounter()
-                for i, success in enumerate(outcomes):
-                    store.record_push_outcome(service, node, success, float(i))
-                    reference.record(success)
-                if reference.due(3):
-                    expected_due.add(service)
-            batches, _ = aggregate(events, store, cfg, "r1", 500.0)
+        saved = {}
+        expected_due = set()
+        for (service, node), outcomes in histories.items():
+            reference = ReferenceCounter()
+            for success in outcomes:
+                reference.record(success)
+            saved.update(streak(reference.streak, reference.watermark, service, node))
+            if reference.due(3):
+                expected_due.add(service)
+        batches, _ = aggregate(events, saved, cfg, "r1", 500.0)
         assert {b.service for b in batches} == expected_due
 
     def test_summary_lists_every_event_exactly_once(self):
@@ -179,15 +183,17 @@ class TestAggregate:
                         message="registry returned HTTP 500"),
             push_event(),
         ]
-        with open_store(str(self.site.state_dir)) as store:
-            _, summary = aggregate(events, store, cfg, "r7", 500.0)
+        _, summary = aggregate(events, streak(1), cfg, "r7", 500.0)
         assert sorted(summary.events, key=str) == sorted(events, key=str)
         assert summary.subject == ("[managed-tokens] run r7: 3 failure(s) "
                                    "across 2 service(s)")
         assert summary.body.count("registry returned HTTP 500") == 1
         assert summary.body == render_admin_summary(summary)
 
-    def test_order_insensitive(self, tmp_path_factory):
+    def test_order_insensitive(self):
+        cfg = self.make_config(dune_production={}, mu2e_production={})
+        saved = {**streak(3), **streak(3, service="mu2e_production",
+                                        node="submit2.example.org")}
         events = [
             push_event(at=10.0, message="err-a"),
             push_event(at=12.0, message="err-b"),
@@ -197,27 +203,17 @@ class TestAggregate:
         ]
         rendered = set()
         for permutation in itertools.permutations(events):
-            site = Site(tmp_path_factory.mktemp("perm"))
-            site.add_service("dune_production")
-            site.add_service("mu2e_production")
-            cfg = site.config(notification={
-                "admin_recipients": ["ops@example.org"], "threshold": 3})
-            with open_store(str(site.state_dir)) as store:
-                seed_failures(store, "dune_production", "submit1.example.org", 3)
-                seed_failures(store, "mu2e_production", "submit2.example.org", 3)
-                batches, summary = aggregate(list(permutation), store, cfg,
-                                             "r1", 500.0)
+            batches, summary = aggregate(list(permutation), saved, cfg, "r1", 500.0)
             rendered.add((tuple((b.subject, b.body, b.recipients)
                                 for b in batches), summary.body))
-        assert len(rendered) == 1
+        (only,) = rendered
+        assert len(only[0]) == 2  # both services paged, whatever the order
 
     def test_latest_event_message_wins_in_the_batch(self):
         cfg = self.make_config(dune_production={})
-        events = [push_event(at=10.0, message="older error"),
-                  push_event(at=20.0, message="newest error")]
-        with open_store(str(self.site.state_dir)) as store:
-            seed_failures(store, "dune_production", "submit1.example.org", 3)
-            (batch,), _ = aggregate(events, store, cfg, "r1", 500.0)
+        events = [push_event(at=20.0, message="newest error"),
+                  push_event(at=10.0, message="older error")]
+        (batch,), _ = aggregate(events, streak(3), cfg, "r1", 500.0)
         assert batch.node_failures[0][2] == "newest error"
 
 

@@ -43,6 +43,18 @@ def fail_service_command(bundle, command, service, message):
     return failing
 
 
+def stage_world_readable_token(monkeypatch):
+    """Make the storer's token readable by everyone, so it fails validation."""
+    store_vault_tokens = credentials.store_vault_tokens
+
+    def world_readable(*args, **kwargs):
+        token = store_vault_tokens(*args, **kwargs)
+        os.chmod(token.path, 0o644)
+        return token
+
+    monkeypatch.setattr(credentials, "store_vault_tokens", world_readable)
+
+
 def stages_of(report, service):
     return [r.stage for r in report.per_service[service]]
 
@@ -199,14 +211,7 @@ class TestFailureIsolation:
         site.add_service("dune_production")
         cfg = site.config()
         site.seed_uids(site.uid_map())
-        store_vault_tokens = credentials.store_vault_tokens
-
-        def world_readable(*args, **kwargs):
-            token = store_vault_tokens(*args, **kwargs)
-            os.chmod(token.path, 0o644)
-            return token
-
-        monkeypatch.setattr(credentials, "store_vault_tokens", world_readable)
+        stage_world_readable_token(monkeypatch)
         bundle = make_bundle()
         report = run_token_push(cfg, bundle)
         push_result = report.per_service["dune_production"][-1]
@@ -583,6 +588,57 @@ class TestNotificationsWiring:
         with open_store(cfg.state_dir) as store:
             counter = store.get_counter("dune_production", "bad.example.org")
         assert counter.last_notified_count == 4
+
+    def leave_submit2_due(self, site):
+        """Threshold 1; one run fails submit2 and its stakeholder send fails,
+        so submit2's saved streak of 1 is still due."""
+        site.add_service("dune_production",
+                         overrides={"retry.base_backoff": "1ms",
+                                    "retry.max_attempts": 2})
+        cfg = site.config(notification={"admin_recipients": ["ops@example.org"],
+                                        "threshold": 1})
+        site.seed_uids(site.uid_map())
+        faults = {"submit2.example.org": simkit.FaultSchedule(
+            "t", (simkit.fail("no route to host"),))}
+        smtp_down = simkit.RecordingSink(schedule=simkit.FaultSchedule(
+            "sink", (simkit.fail("smtp down"), simkit.succeed())))
+        run_token_push(cfg, make_bundle(transfer_faults=faults, sink=smtp_down))
+        with open_store(cfg.state_dir) as store:
+            counter = store.get_counter("dune_production", "submit2.example.org")
+        assert (counter.consecutive_failures, counter.last_notified_count) == (1, 0)
+        return cfg
+
+    def test_failed_counter_save_pages_nobody_from_an_old_counter(self, site,
+                                                                  monkeypatch):
+        cfg = self.leave_submit2_due(site)
+
+        def disk_full(self, service, node, success, now):
+            raise statestore.StoreError("disk full")
+
+        monkeypatch.setattr(statestore.Store, "record_push_outcome", disk_full)
+        bundle = make_bundle()
+        report = run_token_push(cfg, bundle)
+        assert all(o.success for o in report.push_outcomes)
+        assert report.notifications_sent == 1  # the admin summary only
+        (summary,) = bundle.sink.messages
+        assert summary.recipients == ("ops@example.org",)
+        assert summary.body.count("failure counters not saved") == 2  # one per node
+        monkeypatch.undo()
+        with open_store(cfg.state_dir) as store:
+            counter = store.get_counter("dune_production", "submit2.example.org")
+        assert (counter.consecutive_failures, counter.last_notified_count) == (1, 0)
+
+    def test_token_failing_validation_pages_nobody_from_an_old_counter(self, site,
+                                                                       monkeypatch):
+        cfg = self.leave_submit2_due(site)
+        stage_world_readable_token(monkeypatch)
+        bundle = make_bundle()
+        report = run_token_push(cfg, bundle)
+        assert report.push_outcomes == ()
+        assert report.notifications_sent == 1  # the admin summary only
+        (summary,) = bundle.sink.messages
+        assert summary.recipients == ("ops@example.org",)
+        assert summary.body.count("failed validation") == 2  # one per node
 
     def test_non_push_failures_reach_only_the_admin_summary(self, site):
         site.add_service("dune_production")
