@@ -10,8 +10,10 @@ Two single-shot executables, meant to be driven by an external scheduler:
     Refetches every configured account's UID from the identity registry
     (also installed under its historical name ``refresh-uids-from-ferry``).
 
-Exit codes are the only machine contract: 0 success, 1 partial failure,
-2 setup or usage failure.
+Both share one entry path: parse the flags, load the config, build the
+adapters, run. Exit codes are the only machine contract: 0 success, 1
+partial failure, 2 setup or usage failure (an unusable config or state
+store included).
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ import argparse
 import signal
 import sys
 import threading
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__, adapters, observability, orchestrator
 from .config import ConfigError, GlobalConfig, load_config
+from .interfaces import AdapterBundle
 from .orchestrator import FatalSetupError, RunReport
 
 EXIT_OK = 0
@@ -130,61 +133,51 @@ def format_report(report: RunReport, dry_run: bool = False) -> str:
     return "\n".join(lines)
 
 
-def main_token_push(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _token_push_parser()
+def _main(parser: argparse.ArgumentParser, argv: Optional[Sequence[str]],
+          run: Callable[[argparse.Namespace, GlobalConfig, AdapterBundle], int]) -> int:
+    """Parse, load the config, build the adapters, then ``run``; every setup
+    failure, the state store's included, exits 2."""
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return _exit_code(exc)
-
     try:
         config = _load(args.config, args.verbose)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SETUP
-
-    deps = adapters.build_bundle(config)
-    cancel = threading.Event()
-    _install_cancel_handler(cancel)
     try:
-        report = orchestrator.run_token_push(
-            config, deps,
-            selection=args.service or None,
-            dry_run=args.dry_run,
-            cancel=cancel,
-        )
+        return run(args, config, adapters.build_bundle(config))
     except FatalSetupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SETUP
 
+
+def _token_push(args: argparse.Namespace, config: GlobalConfig,
+                deps: AdapterBundle) -> int:
+    cancel = threading.Event()
+    _install_cancel_handler(cancel)
+    report = orchestrator.run_token_push(config, deps, selection=args.service or None,
+                                         dry_run=args.dry_run, cancel=cancel)
     print(format_report(report, dry_run=args.dry_run))
     return EXIT_OK if report.ok else EXIT_PARTIAL
 
 
-def main_refresh_uids(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _refresh_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return _exit_code(exc)
-
-    try:
-        config = _load(args.config, args.verbose)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SETUP
-
-    deps = adapters.build_bundle(config)
-    try:
-        report = orchestrator.run_uid_refresh(config, deps)
-    except FatalSetupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SETUP
-
+def _refresh_uids(args: argparse.Namespace, config: GlobalConfig,
+                  deps: AdapterBundle) -> int:
+    report = orchestrator.run_uid_refresh(config, deps)
     print(f"uid refresh: {report.ok} account(s) updated, {report.failed} failed")
     for account in sorted(report.errors):
         print(f"error: account {account}: {report.errors[account]}", file=sys.stderr)
     return EXIT_OK if report.failed == 0 else EXIT_PARTIAL
+
+
+def main_token_push(argv: Optional[Sequence[str]] = None) -> int:
+    return _main(_token_push_parser(), argv, _token_push)
+
+
+def main_refresh_uids(argv: Optional[Sequence[str]] = None) -> int:
+    return _main(_refresh_parser(), argv, _refresh_uids)
 
 
 if __name__ == "__main__":

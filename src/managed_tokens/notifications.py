@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from typing import Iterable, Mapping, Optional
 
 from .config import GlobalConfig
-from .interfaces import NotificationSink
+from .interfaces import NotificationSink, describe_error
 from .statestore import FailureCounter, Store, notification_due
 
 logger = logging.getLogger(__name__)
@@ -182,9 +182,11 @@ def dispatch(
 
     A batch's due nodes are marked notified in ``store``, in one transaction,
     only once its send returns, so a failed send, or a batch without
-    recipients, stays due for the next run. Sink failures are logged and
-    skipped, never raised: notification delivery must not take the run down.
-    Returns the number of successful sends.
+    recipients, stays due for the next run. Sink and store failures are
+    logged and skipped, never raised: notification delivery must not take
+    the run down. A batch whose watermark was not saved stays due, so it
+    may be sent again next run: pages are at-least-once. Returns the number
+    of successful sends.
     """
     sent = 0
     for batch in batches:
@@ -198,9 +200,13 @@ def dispatch(
             logger.error("notification send failed service=%s error=%s", batch.service, exc)
             continue
         sent += 1
-        with store.transaction():
-            for node, _, _ in batch.node_failures:
-                store.mark_notified(batch.service, node)
+        try:
+            with store.transaction():
+                for node, _, _ in batch.node_failures:
+                    store.mark_notified(batch.service, node)
+        except Exception as exc:
+            logger.error("watermark not saved service=%s error=%s",
+                         batch.service, describe_error(exc))
     if summary is not None and summary.events:
         if not summary.recipients:
             logger.warning("no admin recipients configured; run summary not sent")

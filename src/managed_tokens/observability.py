@@ -2,9 +2,11 @@
 
 The process is batch-scheduled, so metrics are *pushed* (text exposition
 format, HTTP PUT to a pushgateway-compatible endpoint) rather than exposed
-for scraping. Spans go to a JSON-lines file by default, or to an HTTP
-collector endpoint. Neither ever fails the run: emission errors are logged
-and reported to the caller as a boolean.
+for scraping. A PUT replaces every series of its group, so token push
+(:data:`PUSH_JOB`) and UID refresh (:data:`REFRESH_JOB`) push under their
+own job names. Spans go to a JSON-lines file by default, or to an HTTP
+collector endpoint. Neither ever fails the run: both HTTP sends go through
+one helper that logs a failure and reports it to the caller as False.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 import sys
 import urllib.parse
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from .interfaces import HttpAdapter, TransportError
@@ -29,6 +31,7 @@ logger = logging.getLogger(__name__)
 
 METRIC_PREFIX = "managed_tokens_"
 PUSH_JOB = "managed_tokens"
+REFRESH_JOB = "managed_tokens_uid_refresh"
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -124,6 +127,21 @@ def render_exposition(samples: Iterable[MetricSample]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _send(http: HttpAdapter, method: str, url: str, content_type: str,
+          body: str, timeout: float, what: str) -> bool:
+    """One telemetry request: True on a 2xx reply, else log why and False."""
+    try:
+        status, reply = http.request(method, url, headers={"Content-Type": content_type},
+                                     body=body, timeout=timeout)
+    except (TransportError, OSError) as exc:
+        logger.error("%s failed url=%s error=%s", what, url, exc)
+        return False
+    if not 200 <= status < 300:
+        logger.error("%s rejected url=%s status=%d body=%r", what, url, status, reply)
+        return False
+    return True
+
+
 def push_metrics(
     text: str,
     gateway_url: str,
@@ -131,22 +149,14 @@ def push_metrics(
     http: HttpAdapter,
     timeout: float = 10.0,
 ) -> bool:
-    """PUT the exposition body to ``{gateway}/metrics/job/{job}``.
+    """PUT the exposition body to ``{gateway}/metrics/job/{job}``, which
+    replaces every series that group held.
 
     Always non-fatal: failures are logged and reported as False.
     """
     url = gateway_url.rstrip("/") + "/metrics/job/" + urllib.parse.quote(job, safe="")
-    try:
-        status, body = http.request(
-            "PUT", url,
-            headers={"Content-Type": "text/plain; version=0.0.4"},
-            body=text, timeout=timeout,
-        )
-    except (TransportError, OSError) as exc:
-        logger.error("metrics push failed url=%s error=%s", url, exc)
-        return False
-    if not 200 <= status < 300:
-        logger.error("metrics push rejected url=%s status=%d body=%r", url, status, body)
+    if not _send(http, "PUT", url, "text/plain; version=0.0.4", text, timeout,
+                 "metrics push"):
         return False
     logger.debug("metrics pushed url=%s bytes=%d", url, len(text))
     return True
@@ -206,37 +216,13 @@ def export_spans(
 ) -> bool:
     """Write spans to a JSON-lines file, or POST them to an HTTP collector
     when the destination is a URL. Non-fatal, like all telemetry."""
-    records = list(records)
-    payload = [
-        {
-            "trace_id": r.trace_id,
-            "span_id": r.span_id,
-            "parent_id": r.parent_id,
-            "name": r.name,
-            "start": r.start,
-            "end": r.end,
-            "status": r.status,
-            "attributes": dict(r.attributes),
-        }
-        for r in records
-    ]
+    payload = [asdict(r) for r in records]
     if destination.startswith(("http://", "https://")):
         if http is None:
             logger.error("span export to %s requires an HTTP adapter", destination)
             return False
-        try:
-            status, _ = http.request(
-                "POST", destination,
-                headers={"Content-Type": "application/json"},
-                body=json.dumps({"spans": payload}), timeout=timeout,
-            )
-        except (TransportError, OSError) as exc:
-            logger.error("span export failed url=%s error=%s", destination, exc)
-            return False
-        if not 200 <= status < 300:
-            logger.error("span export rejected url=%s status=%d", destination, status)
-            return False
-        return True
+        return _send(http, "POST", destination, "application/json",
+                     json.dumps({"spans": payload}), timeout, "span export")
     try:
         parent = os.path.dirname(destination)
         if parent:
@@ -252,23 +238,8 @@ def export_spans(
 
 def load_spans(path: str) -> list[SpanRecord]:
     """Read back a JSON-lines span file."""
-    spans = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            raw = json.loads(line)
-            spans.append(SpanRecord(
-                trace_id=raw["trace_id"],
-                span_id=raw["span_id"],
-                parent_id=raw.get("parent_id"),
-                name=raw["name"],
-                start=float(raw["start"]),
-                end=float(raw["end"]),
-                status=raw["status"],
-                attributes=dict(raw.get("attributes", {})),
-            ))
-    return spans
+        return [SpanRecord(**json.loads(line)) for line in fh if line.strip()]
 
 
 # -- logging -------------------------------------------------------------------

@@ -18,6 +18,11 @@ every stage has finished, every settled node's failure counter is saved in
 one store transaction, and then the notification threshold policy is
 applied to the counters that transaction wrote and to the run's ErrorEvents.
 Metrics and spans are emitted at the end and never fail the run.
+
+Both runs, token push and UID refresh, open the state store the same way
+(an unusable store is a :class:`FatalSetupError`) and push their metrics
+the same way, each under its own job name. Times come from the bundle's
+wall clock, which may step back; a result never ends before it started.
 """
 
 from __future__ import annotations
@@ -109,7 +114,7 @@ class _Stages:
                errors: Optional[Mapping[Optional[str], str]] = None) -> None:
         """One stage's result. ``errors`` is None on success, else it maps
         each failed node, or None for the whole service, to its error."""
-        ended = self.deps.clock.now()
+        ended = max(self.deps.clock.now(), started)  # a wall clock may step back
         self.results[name].append(
             StageResult(name, stage, errors is None, started, ended, detail))
         if errors is not None:
@@ -237,11 +242,7 @@ def run_token_push(
         resolved = {name: resolve_service(config, name) for name in names}
     except ConfigError as exc:
         raise FatalSetupError(str(exc)) from exc
-    try:
-        store = open_store(config.state_dir)
-    except (StoreError, OSError) as exc:
-        raise FatalSetupError(f"state store unusable: {exc}") from exc
-
+    store = _open_store(config)
     logger.info("run started run_id=%s services=%d dry_run=%s",
                 run_id, len(names), dry_run)
     stages = _Stages(config, deps, store, dry_run, cancel)
@@ -287,7 +288,7 @@ def run_token_push(
     report = RunReport(
         run_id=run_id,
         started=started,
-        ended=clock.now(),
+        ended=max(clock.now(), started),
         per_service={name: tuple(stages.results[name]) for name in names},
         push_outcomes=tuple(o for name in names for o in stages.outcomes.get(name, ())),
         notifications_sent=sent,
@@ -298,13 +299,24 @@ def run_token_push(
     return report
 
 
+def _open_store(config: GlobalConfig) -> Store:
+    try:
+        return open_store(config.state_dir)
+    except (StoreError, OSError) as exc:
+        raise FatalSetupError(f"state store unusable: {exc}") from exc
+
+
+def _push_metrics(config: GlobalConfig, deps: AdapterBundle, job: str,
+                  samples: list[observability.MetricSample]) -> None:
+    if config.metrics_gateway_url:
+        observability.push_metrics(observability.render_exposition(samples),
+                                   config.metrics_gateway_url, job, deps.gateway_http())
+
+
 def _emit_run_telemetry(report: RunReport, config: GlobalConfig,
                         deps: AdapterBundle) -> None:
-    samples = observability.report_to_metrics(report)
-    if config.metrics_gateway_url:
-        text = observability.render_exposition(samples)
-        observability.push_metrics(text, config.metrics_gateway_url,
-                                   observability.PUSH_JOB, deps.gateway_http())
+    _push_metrics(config, deps, observability.PUSH_JOB,
+                  observability.report_to_metrics(report))
     if config.trace_export:
         observability.export_spans(build_spans(report), config.trace_export,
                                    http=deps.http)
@@ -334,29 +346,18 @@ def build_spans(report: RunReport) -> list[observability.SpanRecord]:
 def run_uid_refresh(config: GlobalConfig, deps: AdapterBundle) -> RefreshReport:
     """Refetch the UID of every configured account (deduplicated) and persist
     the results. Raises FatalSetupError when the store cannot be opened."""
-    clock = deps.clock
     accounts = sorted({svc.account for svc in config.services.values()})
-    try:
-        store = open_store(config.state_dir)
-    except (StoreError, OSError) as exc:
-        raise FatalSetupError(f"state store unusable: {exc}") from exc
+    store = _open_store(config)
     try:
         report = registry.refresh_all_uids(
-            config.registry, deps.http, store, accounts, clock.now())
+            config.registry, deps.http, store, accounts, deps.clock.now())
     finally:
         store.close()
     logger.info("uid refresh finished ok=%d failed=%d", report.ok, report.failed)
-    if config.metrics_gateway_url:
-        ended = clock.now()
-        samples = [
-            observability.gauge(
-                observability.METRIC_PREFIX + "last_refresh_timestamp_seconds", {}, ended),
-            observability.counter(
-                observability.METRIC_PREFIX + "uid_refresh_success_total", {}, report.ok),
-            observability.counter(
-                observability.METRIC_PREFIX + "uid_refresh_failure_total", {}, report.failed),
-        ]
-        observability.push_metrics(
-            observability.render_exposition(samples), config.metrics_gateway_url,
-            observability.PUSH_JOB, deps.gateway_http())
+    prefix = observability.METRIC_PREFIX
+    _push_metrics(config, deps, observability.REFRESH_JOB, [
+        observability.gauge(prefix + "last_refresh_timestamp_seconds", {}, deps.clock.now()),
+        observability.counter(prefix + "uid_refresh_success_total", {}, report.ok),
+        observability.counter(prefix + "uid_refresh_failure_total", {}, report.failed),
+    ])
     return report

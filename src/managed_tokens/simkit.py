@@ -283,13 +283,7 @@ class ScriptedRunner:
         return Invocation(argv, env, 0, "ok", "", start, end)
 
 
-def scripted_runner(
-    schedule: FaultSchedule,
-    side_effects: Optional[SideEffect] = None,
-    clock: Optional[Any] = None,
-    name: str = "runner",
-) -> ScriptedRunner:
-    return ScriptedRunner(schedule, side_effects=side_effects, clock=clock, name=name)
+scripted_runner = ScriptedRunner
 
 
 class RoutedRunner:
@@ -395,11 +389,7 @@ class MemoryTransfer:
             return dict(self._files)
 
 
-def memory_transfer(
-    faults: Optional[Mapping[str, FaultSchedule]] = None,
-    clock: Optional[Any] = None,
-) -> MemoryTransfer:
-    return MemoryTransfer(faults=faults, clock=clock)
+memory_transfer = MemoryTransfer
 
 
 # -- fake identity registry ---------------------------------------------------------
@@ -462,13 +452,7 @@ class FakeRegistry:
         return 200, json.dumps(payload)
 
 
-def fake_registry(
-    fixtures: Mapping[str, Any],
-    endpoint_template: str = "/getUserInfo?username={account}",
-    uid_json_path: str = "ferry_output.uid",
-) -> FakeRegistry:
-    return FakeRegistry(fixtures, endpoint_template=endpoint_template,
-                        uid_json_path=uid_json_path)
+fake_registry = FakeRegistry
 
 
 def synthetic_uid(account: str) -> int:

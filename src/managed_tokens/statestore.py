@@ -203,16 +203,11 @@ class Store:
         failure extends the streak by one. Returns the post-update state.
         """
         with self._mutex:
-            row = self._conn.execute(
-                "SELECT consecutive_failures, last_notified_count FROM failure_counters"
-                " WHERE service = ? AND node = ?",
-                (service, node),
-            ).fetchone()
             if success:
                 failures, notified = 0, 0
             else:
-                failures = (int(row[0]) if row else 0) + 1
-                notified = int(row[1]) if row else 0
+                old = self.get_counter(service, node) or FailureCounter(service, node, 0, now, 0)
+                failures, notified = old.consecutive_failures + 1, old.last_notified_count
             self._conn.execute(
                 "INSERT INTO failure_counters"
                 " (service, node, consecutive_failures, last_attempt_at, last_notified_count)"

@@ -85,6 +85,24 @@ class TestTokenPush:
         assert code == EXIT_PARTIAL
         assert "2 service(s), 2 with failures" in out
 
+    def test_unsaved_watermark_exits_one_after_every_send(self, sim_site, capsys,
+                                                          monkeypatch):
+        def disk_full(self, service, node):
+            raise statestore.StoreError("disk full")
+
+        monkeypatch.setattr(statestore.Store, "mark_notified", disk_full)
+        faults = {"transfer:submit2.example.org": {
+            "pattern": [{"fail": "no route to host"}]}}
+        config = sim_config(sim_site, fault_schedules=faults,
+                            retry={"max_attempts": 2, "base_backoff": "1ms"},
+                            notification={"admin_recipients": ["ops@example.org"],
+                                          "threshold": 1})
+        code = main_token_push(["--config", config])
+        out = capsys.readouterr().out
+        assert code == EXIT_PARTIAL
+        # Both stakeholder batches and the admin summary went out.
+        assert "notifications sent: 3" in out
+
     def test_service_subset(self, sim_site, capsys):
         code = main_token_push(["--config", sim_config(sim_site),
                                 "--service", "mu2e_production"])

@@ -640,6 +640,36 @@ class TestNotificationsWiring:
         assert summary.recipients == ("ops@example.org",)
         assert summary.body.count("failed validation") == 2  # one per node
 
+    def test_unsaved_watermark_still_sends_the_admin_summary(self, site, monkeypatch,
+                                                             caplog):
+        site.add_service("dune_production",
+                         overrides={"retry.base_backoff": "1ms",
+                                    "retry.max_attempts": 2})
+        cfg = site.config(notification={"admin_recipients": ["ops@example.org"],
+                                        "threshold": 1})
+        site.seed_uids(site.uid_map())
+        faults = {"submit2.example.org": simkit.FaultSchedule(
+            "t", (simkit.fail("no route to host"),))}
+
+        def disk_full(self, service, node):
+            raise statestore.StoreError("disk full")
+
+        monkeypatch.setattr(statestore.Store, "mark_notified", disk_full)
+        bundle = make_bundle(transfer_faults=faults)
+        with caplog.at_level("ERROR", logger="managed_tokens"):
+            report = run_token_push(cfg, bundle)
+        assert not report.ok
+        assert report.notifications_sent == 2
+        assert [m.recipients for m in bundle.sink.messages] == [
+            ("dune_production-admins@example.org",), ("ops@example.org",)]
+        assert ("watermark not saved service=dune_production error=StoreError: disk full"
+                in caplog.text)
+        monkeypatch.undo()
+        # Still due, so the next run pages again: delivery is at-least-once.
+        with open_store(cfg.state_dir) as store:
+            counter = store.get_counter("dune_production", "submit2.example.org")
+        assert (counter.consecutive_failures, counter.last_notified_count) == (1, 0)
+
     def test_non_push_failures_reach_only_the_admin_summary(self, site):
         site.add_service("dune_production")
         cfg = site.config(notification={"admin_recipients": ["ops@example.org"],
@@ -698,6 +728,29 @@ class TestTelemetryWiring:
         vault_spans = [s for s in spans if s.name.endswith("/vault_store")]
         assert len(vault_spans) == 3
         assert_pairwise_disjoint([(s.start, s.end) for s in vault_spans])
+
+
+class SteppingBackClock(simkit.FixedClock):
+    """A wall clock that NTP keeps stepping back: every read is 5 s earlier
+    than the one before."""
+
+    def now(self) -> float:
+        t = super().now()
+        self.advance(-5.0)
+        return t
+
+
+class TestBackwardClock:
+    def test_clock_stepping_back_mid_run_fails_no_stage(self, site, tmp_path):
+        site.add_service("dune_production")
+        span_path = tmp_path / "spans.jsonl"
+        cfg = site.config(trace_export=str(span_path))
+        site.seed_uids(site.uid_map())
+        report = run_token_push(cfg, make_bundle(clock=SteppingBackClock()))
+        assert report.ok
+        assert stages_of(report, "dune_production") == ["ticket", "vault_store", "push"]
+        assert report.ended >= report.started
+        assert len(load_spans(str(span_path))) == 4
 
 
 class TestBuildSpans:
@@ -767,8 +820,22 @@ class TestUidRefresh:
         bundle = make_bundle(uids={"duneprod": 1001})
         run_uid_refresh(cfg, bundle)
         ((method, path, body),) = bundle.metrics_http.requests
-        assert method == "PUT" and path == "/metrics/job/managed_tokens"
+        assert method == "PUT" and path == "/metrics/job/managed_tokens_uid_refresh"
         assert "uid_refresh_success_total 1" in body
+
+    def test_refresh_and_token_push_replace_different_groups(self, site):
+        # A Pushgateway PUT replaces its whole group, so one group for both
+        # executables would let each push wipe the other's series.
+        site.add_service("dune_production")
+        cfg = site.config(metrics_gateway_url="http://gw.example.org:9091")
+        site.seed_uids(site.uid_map())
+        gateway = simkit.RecordingGateway()
+        run_token_push(cfg, make_bundle(gateway=gateway))
+        run_uid_refresh(cfg, make_bundle(uids={"duneprod": 1001}, gateway=gateway))
+        (_, push_group, push_body), (_, refresh_group, refresh_body) = gateway.requests
+        assert push_group != refresh_group
+        assert "stage_success_total" in push_body
+        assert "uid_refresh_success_total" in refresh_body
 
 
 class TestConcurrency:
