@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 import requests
 
 from . import simkit
-from .config import GlobalConfig
+from .config import GlobalConfig, resolve_service
 from .credentials import render_command
 from .interfaces import (
     AdapterBundle,
@@ -166,16 +166,20 @@ def _command_basename(template: str) -> str:
 def build_simulation_bundle(config: GlobalConfig) -> AdapterBundle:
     """Assemble the hermetic rehearsal bundle from ``config.simulation``.
 
-    Fault-schedule targets recognized here: ``ticket``, ``storer``,
-    ``transfer:<node>``, and ``registry:<account>`` (first behavior ``fail``
-    maps to HTTP 500, ``hang`` to a timeout). Tickets and storer runs succeed
-    by default, the storer writes a fake token at the designated location,
-    pushes land in memory, and notifications are logged instead of mailed.
+    Fault-schedule targets recognized here: ``ticket`` and ``storer`` (the
+    commands of every service, overrides included), ``transfer:<node>``, and
+    ``registry:<account>``. Tickets and storer runs succeed by default, the
+    storer writes a fake token at the designated location, pushes land in
+    memory, and notifications are logged instead of mailed.
     """
     clock = SystemClock()
     schedules: dict[str, simkit.FaultSchedule] = {}
     if config.simulation.fault_schedules:
         schedules = simkit.load_fault_schedules(config.simulation.fault_schedules)
+
+    def targets(prefix: str) -> dict[str, simkit.FaultSchedule]:
+        return {target[len(prefix):]: schedule for target, schedule in schedules.items()
+                if target.startswith(prefix)}
 
     ticket_runner = simkit.scripted_runner(
         schedules.get("ticket", simkit.always_succeed("ticket")),
@@ -183,45 +187,25 @@ def build_simulation_bundle(config: GlobalConfig) -> AdapterBundle:
     storer_runner = simkit.scripted_runner(
         schedules.get("storer", simkit.always_succeed("storer")),
         side_effects=simkit.write_token_from_env(), clock=clock, name="storer")
-    runner = simkit.RoutedRunner(
-        {
-            _command_basename(config.commands.ticket): ticket_runner,
-            _command_basename(config.commands.storer): storer_runner,
-        },
-        default=simkit.scripted_runner(simkit.always_succeed("command"),
-                                       clock=clock, name="command"),
-    )
-
-    transfer_faults = {
-        target.split(":", 1)[1]: schedule
-        for target, schedule in schedules.items()
-        if target.startswith("transfer:")
-    }
-    transfer = simkit.memory_transfer(faults=transfer_faults, clock=clock)
-
-    fixtures: dict[str, object] = {}
-    for svc in config.services.values():
-        fixtures[svc.account] = config.simulation.registry_uids.get(
+    routes: dict[str, simkit.ScriptedRunner] = {}
+    uids: dict[str, int] = {}
+    for name in config.services:
+        svc = resolve_service(config, name)
+        routes[_command_basename(svc.commands.ticket)] = ticket_runner
+        routes[_command_basename(svc.commands.storer)] = storer_runner
+        uids[svc.account] = config.simulation.registry_uids.get(
             svc.account, simkit.synthetic_uid(svc.account))
-    for target, schedule in schedules.items():
-        if not target.startswith("registry:"):
-            continue
-        account = target.split(":", 1)[1]
-        first = schedule.behavior_at(0)
-        if first.kind == "fail":
-            fixtures[account] = simkit.ErrorFixture(500, first.message)
-        elif first.kind == "hang":
-            fixtures[account] = simkit.TIMEOUT
-    http = simkit.fake_registry(
-        fixtures,
-        endpoint_template=config.registry.uid_endpoint_template,
-        uid_json_path=config.registry.uid_json_path,
-    )
 
     return AdapterBundle(
-        runner=runner,
-        transfer=transfer,
-        http=http,
+        runner=simkit.RoutedRunner(routes),
+        transfer=simkit.memory_transfer(faults=targets("transfer:"), clock=clock),
+        http=simkit.fake_registry(
+            uids,
+            endpoint_template=config.registry.uid_endpoint_template,
+            uid_json_path=config.registry.uid_json_path,
+            faults=targets("registry:"),
+            clock=clock,
+        ),
         sink=simkit.LoggingSink(),
         clock=clock,
         metrics_http=simkit.RecordingGateway(),

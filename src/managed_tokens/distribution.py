@@ -11,7 +11,9 @@ runs on it next; an attempt is both copies to one node. It only schedules:
 the caller saves each settled node's outcome. A failed node's retry waits on
 its backoff heap, so it holds no transfer slot. Retry ``k`` waits a
 full-jitter draw from ``[0, base_backoff * 2**(k-1)]``, which keeps
-concurrent retries from synchronizing; nothing caps the window.
+concurrent retries from synchronizing; nothing caps the window. Waits are
+scheduled on ``Clock.monotonic``, so a wall clock stepped back does not
+stretch them.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class PushScheduler:
         self._rng = rng if rng is not None else random.Random()
         self._open: list[ServicePush] = []
         self._finished: list[ServicePush] = []
-        # (due on clock, tie-breaker, service, node index): a min-heap
+        # (due on the monotonic clock, tie-breaker, service, node index): a min-heap
         self._backoff: list[tuple[float, int, ServicePush, int]] = []
         self._order = itertools.count()
         self._in_flight: dict[Future, tuple[ServicePush, int]] = {}
@@ -143,14 +145,14 @@ class PushScheduler:
         nothing in flight does it sleep on the clock, and the retry it slept
         for then goes out even if the clock did not move, so a clock that
         never advances still finishes."""
-        now = self._clock.now()
+        now = self._clock.monotonic()
         while self._backoff and self._backoff[0][0] <= now:
             _, _, push, i = heapq.heappop(self._backoff)
             push.ready.append(i)
         self._start()
         done: set[Future] = set()
         if self._in_flight or others:
-            until_due = (max(0.0, self._backoff[0][0] - self._clock.now())
+            until_due = (max(0.0, self._backoff[0][0] - self._clock.monotonic())
                          if self._backoff else None)
             done, _ = wait([*self._in_flight, *others], timeout=until_due,
                            return_when=FIRST_COMPLETED)
@@ -161,7 +163,7 @@ class PushScheduler:
             self._start()
         elif self._backoff:
             due, _, push, i = heapq.heappop(self._backoff)
-            self._clock.sleep(due - self._clock.now())
+            self._clock.sleep(due - self._clock.monotonic())
             push.ready.append(i)
         finished, self._finished = self._finished, []
         return finished, done
@@ -193,7 +195,7 @@ class PushScheduler:
                            push.svc.name, push.svc.nodes[i], push.attempts[i], error)
             if retryable and push.attempts[i] < push.svc.retry.max_attempts:
                 window = push.svc.retry.base_backoff * 2 ** (push.attempts[i] - 1)
-                due = self._clock.now() + self._rng.uniform(0, window)
+                due = self._clock.monotonic() + self._rng.uniform(0, window)
                 heapq.heappush(self._backoff, (due, next(self._order), push, i))
                 return
         push.settled[i] = PushOutcome(service=push.svc.name, node=push.svc.nodes[i],

@@ -64,6 +64,10 @@ class Clock(Protocol):
         """Seconds since the epoch."""
         ...
 
+    def monotonic(self) -> float:
+        """Seconds on a clock that never steps back, for scheduling waits."""
+        ...
+
     def sleep(self, seconds: float) -> None:
         ...
 
@@ -73,6 +77,9 @@ class SystemClock:
 
     def now(self) -> float:
         return time.time()
+
+    def monotonic(self) -> float:
+        return time.monotonic()
 
     def sleep(self, seconds: float) -> None:
         if seconds > 0:

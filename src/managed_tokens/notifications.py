@@ -185,10 +185,12 @@ def dispatch(
     recipients, stays due for the next run. Sink and store failures are
     logged and skipped, never raised: notification delivery must not take
     the run down. A batch whose watermark was not saved stays due, so it
-    may be sent again next run: pages are at-least-once. Returns the number
-    of successful sends.
+    may be sent again next run: pages are at-least-once. The admin summary
+    goes out last, so its body also names every watermark not saved. Returns
+    the number of successful sends.
     """
     sent = 0
+    unsaved: list[str] = []
     for batch in batches:
         if not batch.recipients:
             logger.warning("no stakeholder recipients for service=%s; batch not sent",
@@ -205,14 +207,16 @@ def dispatch(
                 for node, _, _ in batch.node_failures:
                     store.mark_notified(batch.service, node)
         except Exception as exc:
-            logger.error("watermark not saved service=%s error=%s",
-                         batch.service, describe_error(exc))
+            unsaved.append(f"watermark not saved service={batch.service} "
+                           f"error={describe_error(exc)}")
+            logger.error("%s", unsaved[-1])
     if summary is not None and summary.events:
         if not summary.recipients:
             logger.warning("no admin recipients configured; run summary not sent")
         else:
+            body = "\n".join([summary.body, *unsaved, ""]) if unsaved else summary.body
             try:
-                sink.send(summary.recipients, summary.subject, summary.body)
+                sink.send(summary.recipients, summary.subject, body)
                 sent += 1
             except Exception as exc:
                 logger.error("admin summary send failed error=%s", exc)

@@ -19,11 +19,19 @@ Fault-schedule files are YAML mappings from a target name to a schedule::
         - hang
     "transfer:submit1.example.org":
       pattern: [{fail: "node down"}]
+    "registry:duneprod":
+      pattern: [{fail: "registry down"}, succeed]
 
 Pattern entries: ``succeed``, ``hang`` (plain strings), ``{fail: message}``,
 ``{delay: seconds}`` (delay then succeed). ``repeat: true`` (the default)
 cycles the pattern forever; with ``repeat: false`` running past the end
 raises :class:`ScheduleExhausted`.
+
+Every double plays its schedules through one :class:`Faults`, which counts
+calls per key (a runner's schedule, a copy's node, a lookup's account) and
+sleeps out ``hang`` and ``delay``. The double reports ``fail`` and ``hang``
+as its real system would: for the registry, HTTP 500 carrying the message
+and a transport timeout.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import threading
 import urllib.parse
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional
 
 import yaml
 
@@ -60,9 +68,10 @@ class ScheduleExhausted(Exception):
 
 
 class FixedClock:
-    """Controllable clock: ``now()`` returns a set value, ``sleep`` does not
-    block. With ``advance_on_sleep`` every sleep atomically advances the
-    shared time instead (useful for single-threaded backoff accounting)."""
+    """Controllable clock: ``now()`` and ``monotonic()`` read one set time,
+    ``sleep`` does not block. With ``advance_on_sleep`` every sleep
+    atomically advances the shared time instead (useful for single-threaded
+    backoff accounting)."""
 
     def __init__(self, start: float = 1_700_000_000.0, advance_on_sleep: bool = False):
         self._t = float(start)
@@ -73,6 +82,9 @@ class FixedClock:
         with self._mutex:
             return self._t
 
+    # Bound here, so a subclass that steps ``now`` back leaves it alone.
+    monotonic = now
+
     def sleep(self, seconds: float) -> None:
         if self._advance_on_sleep and seconds > 0:
             self.advance(seconds)
@@ -80,10 +92,6 @@ class FixedClock:
     def advance(self, seconds: float) -> None:
         with self._mutex:
             self._t += seconds
-
-    def set(self, t: float) -> None:
-        with self._mutex:
-            self._t = float(t)
 
 
 # -- fault schedules ----------------------------------------------------------
@@ -136,14 +144,10 @@ def always_succeed(target: str = "default") -> FaultSchedule:
 
 
 def _parse_pattern_entry(entry: Any, where: str) -> Behavior:
-    if isinstance(entry, str):
-        if entry == "succeed":
-            return succeed()
-        if entry == "hang":
-            return hang()
-        raise ValueError(f"{where}: unknown behavior {entry!r}")
+    if entry in ("succeed", "hang"):
+        return Behavior(entry)
     if isinstance(entry, Mapping) and len(entry) == 1:
-        key, value = next(iter(entry.items()))
+        ((key, value),) = entry.items()
         if key == "fail":
             return fail(str(value))
         if key == "delay":
@@ -171,6 +175,34 @@ def load_fault_schedules(path: str) -> dict[str, FaultSchedule]:
             target=str(target), pattern=behaviors, repeat=bool(spec.get("repeat", True))
         )
     return schedules
+
+
+class Faults:
+    """Fault schedules by key, with one call counter per key: the one path
+    from a schedule to what a double does on a call. ``calls`` maps each key
+    to the number of calls made on it, scheduled or not."""
+
+    def __init__(self, schedules: Mapping[str, FaultSchedule], clock: Any):
+        self.schedules = dict(schedules)
+        self.clock = clock
+        self.calls: dict[str, int] = {}
+        self._mutex = threading.Lock()
+
+    def step(self, key: str, timeout: Optional[float] = None) -> tuple[int, Behavior]:
+        """Count one call on ``key`` and act out its scheduled behavior:
+        ``hang`` sleeps out ``timeout``, ``delay`` sleeps, and a key without
+        a schedule succeeds. Returns the call's index and behavior; the
+        caller reports ``fail`` and ``hang`` its own way."""
+        with self._mutex:
+            index = self.calls.get(key, 0)
+            self.calls[key] = index + 1
+        schedule = self.schedules.get(key)
+        behavior = schedule.behavior_at(index) if schedule is not None else succeed()
+        if behavior.kind == "hang":
+            self.clock.sleep(timeout if timeout is not None else 0.0)
+        elif behavior.kind == "delay":
+            self.clock.sleep(behavior.delay)
+        return index, behavior
 
 
 # -- invocation log ------------------------------------------------------------
@@ -209,15 +241,13 @@ class InvocationLog:
 
 # -- scripted command runner -----------------------------------------------------
 
-SideEffect = Union[
-    Callable[[int, tuple[str, ...], Mapping[str, str]], None],
-    Mapping[int, list[tuple[str, bytes]]],
-]
+SideEffect = Callable[[int, tuple[str, ...], Mapping[str, str]], None]
 
 
 class ScriptedRunner:
-    """CommandRunner double: replays a fault schedule and performs declared
-    file side effects (e.g. writing a fake vault token) on successful calls."""
+    """CommandRunner double: replays a fault schedule and, on each successful
+    call, runs ``side_effects(index, argv, env)`` (e.g. writing a fake vault
+    token)."""
 
     def __init__(
         self,
@@ -226,30 +256,10 @@ class ScriptedRunner:
         clock: Optional[Any] = None,
         name: str = "runner",
     ):
-        self.schedule = schedule
         self.side_effects = side_effects
         self.clock = clock if clock is not None else SystemClock()
         self.log = InvocationLog(name)
-        self._count = 0
-        self._mutex = threading.Lock()
-
-    def _next_index(self) -> int:
-        with self._mutex:
-            index = self._count
-            self._count += 1
-        return index
-
-    def _apply_side_effects(self, index: int, argv: tuple[str, ...],
-                            env: Mapping[str, str]) -> None:
-        if self.side_effects is None:
-            return
-        if callable(self.side_effects):
-            self.side_effects(index, argv, env)
-            return
-        for path, content in self.side_effects.get(index, []):
-            with open(path, "wb") as fh:
-                fh.write(content)
-            os.chmod(path, 0o600)
+        self.faults = Faults({name: schedule}, self.clock)
 
     def run(
         self,
@@ -259,25 +269,20 @@ class ScriptedRunner:
     ) -> Invocation:
         argv = tuple(argv)
         env = dict(env_overrides or {})
-        index = self._next_index()
-        behavior = self.schedule.behavior_at(index)
         start = self.clock.now()
+        index, behavior = self.faults.step(self.log.adapter, timeout)
 
         if behavior.kind == "hang":
-            self.clock.sleep(timeout if timeout is not None else 0.0)
-            end = self.clock.now()
-            self.log.append(argv, start, end, "timeout")
+            self.log.append(argv, start, self.clock.now(), "timeout")
             raise CommandTimeout(argv, timeout if timeout is not None else 0.0)
-
-        if behavior.kind == "delay":
-            self.clock.sleep(behavior.delay)
 
         if behavior.kind == "fail":
             end = self.clock.now()
             self.log.append(argv, start, end, "fail")
             return Invocation(argv, env, 1, "", behavior.message, start, end)
 
-        self._apply_side_effects(index, argv, env)
+        if self.side_effects is not None:
+            self.side_effects(index, argv, env)
         end = self.clock.now()
         self.log.append(argv, start, end, "ok")
         return Invocation(argv, env, 0, "ok", "", start, end)
@@ -288,15 +293,15 @@ scripted_runner = ScriptedRunner
 
 class RoutedRunner:
     """Dispatches to per-command scripted runners by argv[0] basename, so one
-    bundle can script the ticket and storer commands independently."""
+    bundle can script the ticket and storer commands independently. An
+    unrouted command raises ``KeyError``."""
 
-    def __init__(self, routes: Mapping[str, Any], default: Optional[Any] = None):
+    def __init__(self, routes: Mapping[str, Any]):
         self.routes = dict(routes)
-        self.default = default
 
     def run(self, argv, env_overrides=None, timeout=None) -> Invocation:
         key = os.path.basename(argv[0])
-        runner = self.routes.get(key, self.default)
+        runner = self.routes.get(key)
         if runner is None:
             raise KeyError(f"no scripted runner for command {key!r}")
         return runner.run(argv, env_overrides=env_overrides, timeout=timeout)
@@ -305,7 +310,7 @@ class RoutedRunner:
 def write_token_from_env(
     content: bytes = b"hvs.simulated-vault-token-0123456789abcdef\n",
     env_var: str = "MANAGED_TOKENS_DEFAULT_TOKEN_PATH",
-) -> Callable[[int, tuple[str, ...], Mapping[str, str]], None]:
+) -> SideEffect:
     """Side effect for the scripted storer: write a fake vault token at the
     shared default location the invocation designates via ``env_var``."""
 
@@ -334,20 +339,13 @@ class MemoryTransfer:
         faults: Optional[Mapping[str, FaultSchedule]] = None,
         clock: Optional[Any] = None,
     ):
-        self.faults = dict(faults or {})
         self.clock = clock if clock is not None else SystemClock()
         self.log = InvocationLog("transfer")
+        self.faults = Faults(faults or {}, self.clock)
         self._files: dict[tuple[str, str], bytes] = {}
-        self._counts: dict[str, int] = {}
         self._mutex = threading.Lock()
         self._active = 0
         self.high_water = 0
-
-    def _node_index(self, node: str) -> int:
-        with self._mutex:
-            index = self._counts.get(node, 0)
-            self._counts[node] = index + 1
-        return index
 
     def put(self, local_path: str, node: str, remote_path: str,
             timeout: Optional[float] = None) -> None:
@@ -357,18 +355,13 @@ class MemoryTransfer:
         start = self.clock.now()
         args = (node, remote_path)
         try:
-            schedule = self.faults.get(node)
-            if schedule is not None:
-                behavior = schedule.behavior_at(self._node_index(node))
-                if behavior.kind == "delay":
-                    self.clock.sleep(behavior.delay)
-                elif behavior.kind == "hang":
-                    self.clock.sleep(timeout if timeout is not None else 0.0)
-                    self.log.append(args, start, self.clock.now(), "timeout")
-                    raise TransferError(f"transfer to {node} timed out")
-                elif behavior.kind == "fail":
-                    self.log.append(args, start, self.clock.now(), "fail")
-                    raise TransferError(behavior.message)
+            _, behavior = self.faults.step(node, timeout)
+            if behavior.kind == "hang":
+                self.log.append(args, start, self.clock.now(), "timeout")
+                raise TransferError(f"transfer to {node} timed out")
+            if behavior.kind == "fail":
+                self.log.append(args, start, self.clock.now(), "fail")
+                raise TransferError(behavior.message)
             with open(local_path, "rb") as fh:
                 content = fh.read()
             with self._mutex:
@@ -403,9 +396,6 @@ class ErrorFixture:
     body: str = ""
 
 
-TIMEOUT = object()  # fixture sentinel: the request times out
-
-
 def _json_at_path(path: str, value: Any) -> dict:
     parts = path.split(".")
     out: Any = value
@@ -415,19 +405,22 @@ def _json_at_path(path: str, value: Any) -> dict:
 
 
 class FakeRegistry:
-    """HttpAdapter double serving UID lookups from a fixture map and counting
-    hits per account."""
+    """HttpAdapter double serving UID lookups from a fixture map, with
+    per-account fault schedules, and counting hits per account. A ``fail``
+    is HTTP 500 carrying the message, a ``hang`` a transport timeout."""
 
     def __init__(
         self,
         fixtures: Mapping[str, Any],
         endpoint_template: str = "/getUserInfo?username={account}",
         uid_json_path: str = "ferry_output.uid",
+        faults: Optional[Mapping[str, FaultSchedule]] = None,
+        clock: Optional[Any] = None,
     ):
         self.fixtures = dict(fixtures)
         self.uid_json_path = uid_json_path
-        self.hits: dict[str, int] = {}
-        self._mutex = threading.Lock()
+        self.faults = Faults(faults or {}, clock if clock is not None else SystemClock())
+        self.hits = self.faults.calls
         pattern = re.escape(endpoint_template).replace(r"\{account\}", "(?P<account>[^&/?]+)")
         self._matcher = re.compile(pattern + "$")
 
@@ -438,13 +431,14 @@ class FakeRegistry:
         if method.upper() != "GET" or m is None:
             return 404, "not found"
         account = urllib.parse.unquote(m.group("account"))
-        with self._mutex:
-            self.hits[account] = self.hits.get(account, 0) + 1
+        _, behavior = self.faults.step(account, timeout)
+        if behavior.kind == "hang":
+            raise TransportTimeout(f"registry lookup for {account} timed out")
+        if behavior.kind == "fail":
+            return 500, behavior.message
         fixture = self.fixtures.get(account)
         if fixture is None:
             return 404, '{"ferry_status": "failure"}'
-        if fixture is TIMEOUT:
-            raise TransportTimeout(f"registry lookup for {account} timed out")
         if isinstance(fixture, ErrorFixture):
             return fixture.status, fixture.body
         payload = _json_at_path(self.uid_json_path, int(fixture))
@@ -474,19 +468,15 @@ class RecordingSink:
     """NotificationSink double that records messages; optionally scripted to fail."""
 
     def __init__(self, schedule: Optional[FaultSchedule] = None):
-        self.schedule = schedule
         self.messages: list[SentMessage] = []
-        self._count = 0
+        self.faults = Faults({"send": schedule} if schedule is not None else {},
+                              SystemClock())
         self._mutex = threading.Lock()
 
     def send(self, recipients, subject: str, body: str) -> None:
-        with self._mutex:
-            index = self._count
-            self._count += 1
-        if self.schedule is not None:
-            behavior = self.schedule.behavior_at(index)
-            if behavior.kind == "fail":
-                raise RuntimeError(behavior.message)
+        _, behavior = self.faults.step("send")
+        if behavior.kind == "fail":
+            raise RuntimeError(behavior.message)
         with self._mutex:
             self.messages.append(SentMessage(tuple(recipients), subject, body))
 

@@ -3,6 +3,7 @@ bundles assembled from the in-package doubles."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 from typing import Mapping, Optional
@@ -109,6 +110,18 @@ class Site:
 @pytest.fixture
 def site(tmp_path: Path) -> Site:
     return Site(tmp_path)
+
+
+class SteppingBackClock(simkit.FixedClock):
+    """A wall clock that NTP keeps stepping back: every ``now()`` reads 5 s
+    earlier than the one before. ``monotonic()`` is never stepped."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._reads = itertools.count()
+
+    def now(self) -> float:
+        return super().now() - 5.0 * next(self._reads)
 
 
 class SubstringRouter:

@@ -17,7 +17,7 @@ from managed_tokens.config import resolve_service
 from managed_tokens.credentials import VaultTokenFile
 from managed_tokens.distribution import PushScheduler, compute_destinations
 
-from conftest import Site
+from conftest import Site, SteppingBackClock
 
 
 def one_service(site, name="dune_production", **add_kwargs):
@@ -124,6 +124,17 @@ class TestPushToken:
         assert outcome.success
         assert outcome.attempts == 2
         assert outcome.error is None
+
+    def test_wall_clock_stepping_back_does_not_stretch_a_retry(self, site, staged_token):
+        faults = {self.NODE: simkit.FaultSchedule(
+            "t", (simkit.fail("connection reset"), simkit.succeed(),
+                  simkit.succeed()))}
+        clock = SteppingBackClock(start=0.0, advance_on_sleep=True)
+        transfer = simkit.memory_transfer(faults=faults)
+        outcome = self.push(site, staged_token, transfer, clock, base_backoff="1ms",
+                            rng=random.Random(1))
+        assert (outcome.success, outcome.attempts) == (True, 2)
+        assert 0.0 < clock.monotonic() <= 0.001  # one sleep, within its drawn window
 
     def test_always_failing_node(self, site, staged_token):
         faults = {self.NODE: simkit.FaultSchedule(

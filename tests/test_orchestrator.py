@@ -23,6 +23,7 @@ from managed_tokens.statestore import open_store
 from managed_tokens.observability import load_spans
 
 from conftest import (
+    SteppingBackClock,
     SubstringRouter,
     assert_pairwise_disjoint,
     make_bundle,
@@ -662,8 +663,9 @@ class TestNotificationsWiring:
         assert report.notifications_sent == 2
         assert [m.recipients for m in bundle.sink.messages] == [
             ("dune_production-admins@example.org",), ("ops@example.org",)]
-        assert ("watermark not saved service=dune_production error=StoreError: disk full"
-                in caplog.text)
+        unsaved = "watermark not saved service=dune_production error=StoreError: disk full"
+        assert unsaved in caplog.text
+        assert unsaved in bundle.sink.messages[-1].body
         monkeypatch.undo()
         # Still due, so the next run pages again: delivery is at-least-once.
         with open_store(cfg.state_dir) as store:
@@ -728,16 +730,6 @@ class TestTelemetryWiring:
         vault_spans = [s for s in spans if s.name.endswith("/vault_store")]
         assert len(vault_spans) == 3
         assert_pairwise_disjoint([(s.start, s.end) for s in vault_spans])
-
-
-class SteppingBackClock(simkit.FixedClock):
-    """A wall clock that NTP keeps stepping back: every read is 5 s earlier
-    than the one before."""
-
-    def now(self) -> float:
-        t = super().now()
-        self.advance(-5.0)
-        return t
 
 
 class TestBackwardClock:

@@ -18,6 +18,7 @@ from managed_tokens.statestore import open_store
 
 
 CFG = RegistryConfig(base_url="http://registry.example.org")
+HANG = simkit.FaultSchedule("registry", (simkit.hang(),))
 
 
 class TestFetchUid:
@@ -122,7 +123,7 @@ class TestRefreshAllUids:
             assert rec.fetched_at == 1.0
 
     def test_timeout_counts_as_failure(self, tmp_path):
-        http = simkit.fake_registry({"a": simkit.TIMEOUT, "b": 2})
+        http = simkit.fake_registry({"b": 2}, faults={"a": HANG}, clock=simkit.FixedClock())
         with open_store(str(tmp_path)) as store:
             report = refresh_all_uids(CFG, http, store, ["a", "b"], now=0.0)
             assert (report.ok, report.failed) == (1, 1)
@@ -136,11 +137,9 @@ class TestRefreshAllUids:
         assert http.hits == {}
 
     def test_counts_partition_the_account_list(self, tmp_path):
-        fixtures = {"a": 1, "b": simkit.ErrorFixture(403, ""), "c": 3,
-                    "d": simkit.TIMEOUT, "e": None}
-        http = simkit.fake_registry({k: v for k, v in fixtures.items()
-                                     if v is not None})
-        accounts = sorted(fixtures)
+        fixtures = {"a": 1, "b": simkit.ErrorFixture(403, ""), "c": 3}
+        http = simkit.fake_registry(fixtures, faults={"d": HANG}, clock=simkit.FixedClock())
+        accounts = ["a", "b", "c", "d", "e"]
         with open_store(str(tmp_path)) as store:
             report = refresh_all_uids(CFG, http, store, accounts, now=0.0)
         assert report.ok + report.failed == len(accounts)

@@ -4,17 +4,24 @@ in-memory transfer, fixture registry, recorders."""
 from __future__ import annotations
 
 import threading
+import time
+from pathlib import Path
 
 import pytest
 import yaml
 
 from managed_tokens import simkit
+from managed_tokens.adapters import build_simulation_bundle
 from managed_tokens.interfaces import (
     CommandTimeout,
     TransferError,
     TransportError,
     TransportTimeout,
 )
+from managed_tokens.orchestrator import run_token_push
+from managed_tokens.registry import HttpError, fetch_uid
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestFixedClock:
@@ -28,7 +35,7 @@ class TestFixedClock:
         clock = simkit.FixedClock(start=100.0, advance_on_sleep=True)
         clock.sleep(2.5)
         clock.sleep(0.5)
-        assert clock.now() == 103.0
+        assert clock.now() == clock.monotonic() == 103.0
 
     def test_sleep_never_blocks(self):
         import time
@@ -128,19 +135,19 @@ class TestScriptedRunner:
         assert inv.exit_code == 0
         assert inv.ended - inv.started == 5.0
 
-    def test_dict_side_effects_fire_on_success_only(self, tmp_path):
-        target = tmp_path / "out"
+    def test_side_effects_fire_on_success_only(self):
+        fired = []
         schedule = simkit.FaultSchedule(
-            "t", (simkit.fail("no"), simkit.succeed()), repeat=False)
+            "t", (simkit.fail("no"), simkit.hang(), simkit.succeed()), repeat=False)
         runner = simkit.scripted_runner(
-            schedule,
-            side_effects={0: [(str(target), b"never")],
-                          1: [(str(target), b"token-bytes")]},
+            schedule, side_effects=lambda i, argv, env: fired.append(i),
             clock=simkit.FixedClock())
         runner.run(["cmd"])
-        assert not target.exists()
+        with pytest.raises(CommandTimeout):
+            runner.run(["cmd"])
+        assert fired == []
         runner.run(["cmd"])
-        assert target.read_bytes() == b"token-bytes"
+        assert fired == [2]
 
     def test_callable_side_effects_see_argv_and_env(self):
         seen = []
@@ -174,12 +181,6 @@ class TestRoutedRunner:
         assert routed.run(["storer", "svc"]).exit_code == 1
         assert len(a.log.entries()) == 1
         assert len(b.log.entries()) == 1
-
-    def test_default_runner(self):
-        fallback = simkit.scripted_runner(simkit.always_succeed(),
-                                          clock=simkit.FixedClock())
-        routed = simkit.RoutedRunner({}, default=fallback)
-        assert routed.run(["anything"]).exit_code == 0
 
     def test_unrouted_command_without_default(self):
         with pytest.raises(KeyError):
@@ -269,9 +270,30 @@ class TestFakeRegistry:
         assert (status, body) == (503, "maintenance")
 
     def test_timeout_fixture(self):
-        registry = simkit.fake_registry({"x": simkit.TIMEOUT})
+        clock = simkit.FixedClock(start=0.0, advance_on_sleep=True)
+        registry = simkit.fake_registry(
+            {"x": 1}, faults={"x": simkit.FaultSchedule("x", (simkit.hang(),))},
+            clock=clock)
         with pytest.raises(TransportTimeout):
-            registry.request("GET", "http://r.example.org/getUserInfo?username=x")
+            registry.request("GET", "http://r.example.org/getUserInfo?username=x",
+                             timeout=4.0)
+        assert clock.now() == 4.0
+
+    def test_one_schedule_entry_per_lookup(self):
+        registry = simkit.fake_registry({"x": 1}, faults={"x": simkit.FaultSchedule(
+            "x", (simkit.fail("down"), simkit.succeed()), repeat=False)})
+        url = "http://r.example.org/getUserInfo?username=x"
+        assert registry.request("GET", url) == (500, "down")
+        assert registry.request("GET", url)[0] == 200
+        assert registry.hits == {"x": 2}
+
+    def test_delay_advances_the_clock(self):
+        clock = simkit.FixedClock(start=0.0, advance_on_sleep=True)
+        registry = simkit.fake_registry(
+            {"x": 1}, faults={"x": simkit.FaultSchedule("x", (simkit.delay(2.5),))},
+            clock=clock)
+        assert registry.request("GET", "http://r.example.org/getUserInfo?username=x")[0] == 200
+        assert clock.now() == 2.5
 
     def test_unmatched_path_is_404(self):
         registry = simkit.fake_registry({"x": 1})
@@ -354,3 +376,53 @@ class TestInvocationLog:
             return runner.log.canonical()
 
         assert run_once() == run_once()
+
+
+class TestSimulationBundle:
+    """Fault schedules reach the doubles of ``adapters.build_simulation_bundle``."""
+
+    def build(self, site, fault_schedules: str, **service):
+        site.add_service("dune_production", **service)
+        path = site.root / "faults.yaml"
+        path.write_text(fault_schedules)
+        cfg = site.config(adapter_mode="simulation",
+                          simulation={"registry_uids": {"duneprod": 1001},
+                                      "fault_schedules": str(path)})
+        return cfg, build_simulation_bundle(cfg)
+
+    def test_readme_schedules_reach_their_doubles(self, site):
+        section = README.read_text().split("## Simulation mode", 1)[1]
+        example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg, bundle = self.build(site, example)
+        schedules = simkit.load_fault_schedules(cfg.simulation.fault_schedules)
+        assert set(schedules) == {"ticket", "storer", "transfer:submit2.example.org",
+                                  "registry:duneprod"}
+        routes = bundle.runner.routes
+        assert routes["kinit"].faults.schedules == {"ticket": schedules["ticket"]}
+        assert routes["condor_vault_storer"].faults.schedules == {
+            "storer": schedules["storer"]}
+        assert bundle.transfer.faults.schedules == {
+            "submit2.example.org": schedules["transfer:submit2.example.org"]}
+        assert bundle.http.faults.schedules == {"duneprod": schedules["registry:duneprod"]}
+
+    def test_registry_schedule_consumes_one_entry_per_fetch(self, site):
+        cfg, bundle = self.build(site, yaml.safe_dump(
+            {"registry:duneprod": {"pattern": [{"fail": "down"}, "succeed"]}}))
+        with pytest.raises(HttpError) as err:
+            fetch_uid(cfg.registry, bundle.http, "duneprod")
+        assert (err.value.status, err.value.body) == (500, "down")
+        assert fetch_uid(cfg.registry, bundle.http, "duneprod") == 1001
+
+    def test_registry_delay_delays_the_fetch(self, site):
+        cfg, bundle = self.build(site, yaml.safe_dump(
+            {"registry:duneprod": {"pattern": [{"delay": 0.2}]}}))
+        begin = time.monotonic()
+        assert fetch_uid(cfg.registry, bundle.http, "duneprod") == 1001
+        assert time.monotonic() - begin >= 0.2
+
+    def test_service_command_overrides_are_routed(self, site):
+        cfg, bundle = self.build(site, "", overrides={
+            "commands.storer": "/opt/site/bin/storer-wrapper {service}"})
+        report = run_token_push(cfg, bundle)
+        assert report.ok
+        assert len(bundle.runner.routes["storer-wrapper"].log.entries()) == 1
