@@ -25,6 +25,7 @@ import dataclasses
 import functools
 import os
 import re
+import shlex
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Optional
@@ -118,9 +119,7 @@ class RegistryConfig:
 
 @dataclass(frozen=True)
 class CommandTemplates:
-    """Shell-style templates for the external commands; placeholders are
-    rendered per invocation ({keytab} {principal} {cache} {credd} {service}
-    {vault_local_seconds} {vault_credd_seconds} {local} {node} {remote})."""
+    """Shell-style templates for the external commands, rendered per call."""
 
     ticket: str = "kinit -k -t {keytab} -c {cache} {principal}"
     storer: str = "condor_vault_storer {service}"
@@ -221,10 +220,21 @@ class ResolvedService:
 
 
 # GlobalConfig fields a service may override: a flat field by its name, a
-# member of a group by ``group.member``.
+# member of a group by ``group.member``. One transfer adapter serves every
+# service, so the transfer command is run-wide.
 _OVERRIDABLE = ("transfer_parallelism", "tmp_dir", "default_token_path", "token_prefix_check",
                 "oidc_prompt_regex", "timeouts", "retry", "token_lifetimes", "commands",
                 "destination_templates")
+
+# The placeholders each template's renderer supplies; a template naming any
+# other fails the load.
+TICKET_PLACEHOLDERS = ("keytab", "principal", "cache", "service")
+STORER_PLACEHOLDERS = (*TICKET_PLACEHOLDERS, "credd", "account", "experiment", "role",
+                       "issuer", "vault_local_seconds", "vault_credd_seconds")
+TRANSFER_PLACEHOLDERS = ("local", "node", "remote")
+DESTINATION_PLACEHOLDERS = ("tmp_dir", "uid", "issuer", "role", "service", "account")
+TOKEN_PATH_PLACEHOLDERS = ("tmp_dir", "uid")
+UID_ENDPOINT_PLACEHOLDERS = ("account",)
 
 _Check = Callable[[Any, str], Any]
 
@@ -242,6 +252,27 @@ def _rule(ok: Callable[[Any], Any], problem: str,
 
 _str = _rule(lambda value: isinstance(value, str) and value != "", "expected a non-empty string")
 _bool = _rule(lambda value: isinstance(value, bool), "expected a boolean (true or false)")
+
+
+def _template(placeholders: tuple[str, ...], command: bool = False) -> _Check:
+    """A template that renders from ``placeholders`` alone (``uid`` is an
+    integer, the rest strings); a command template must also split into
+    words with shell quoting rules, as its renderer splits it."""
+    sample = {name: 0 if name == "uid" else name for name in placeholders}
+
+    def check(value: Any, path: str) -> str:
+        value = _str(value, path)
+        try:
+            for word in shlex.split(value) if command else (value,):
+                word.format(**sample)
+        except KeyError as exc:
+            allowed = " ".join(f"{{{name}}}" for name in placeholders)
+            raise ValidationError(f"{path}: unknown placeholder {{{exc.args[0]}}} "
+                                  f"(allowed: {allowed})") from None
+        except (ValueError, IndexError, AttributeError) as exc:
+            raise ValidationError(f"{path}: cannot render {value!r}: {exc}") from None
+        return value
+    return check
 
 
 def _str_list(value: Any, path: str) -> tuple[str, ...]:
@@ -310,6 +341,15 @@ _CHECKS: dict[tuple[type, str], _Check] = {
     (GlobalConfig, "adapter_mode"): _rule(lambda mode: mode in ("real", "simulation"),
                                           "must be 'real' or 'simulation'"),
     (GlobalConfig, "services"): _services,
+    (GlobalConfig, "default_token_path"): _template(TOKEN_PATH_PLACEHOLDERS),
+    (CommandTemplates, "ticket"): _template(TICKET_PLACEHOLDERS, command=True),
+    (CommandTemplates, "storer"): _template(STORER_PLACEHOLDERS, command=True),
+    (CommandTemplates, "transfer"): _template(TRANSFER_PLACEHOLDERS, command=True),
+    (DestinationTemplates, "user"): _template(DESTINATION_PLACEHOLDERS),
+    (DestinationTemplates, "role"): _template(DESTINATION_PLACEHOLDERS),
+    (RegistryConfig, "uid_endpoint_template"): _rule(
+        lambda template: template.count("{account}") == 1,
+        "must contain exactly one {account} placeholder", _template(UID_ENDPOINT_PLACEHOLDERS)),
     (RegistryConfig, "base_url"): _rule(lambda url: isinstance(url, str), "expected a string"),
     (SimulationConfig, "registry_uids"): _uid_map,
     (ServiceConfig, "credd_hosts"): _rule(bool, "must be non-empty", _str_list),
@@ -331,16 +371,9 @@ def _distinct_destinations(templates: DestinationTemplates, path: str) -> None:
         raise ValidationError(f"{path}: user and role templates must differ")
 
 
-def _one_account_placeholder(registry: RegistryConfig, path: str) -> None:
-    if registry.uid_endpoint_template.count("{account}") != 1:
-        raise ValidationError(
-            f"{path}.uid_endpoint_template: must contain exactly one {{account}} placeholder")
-
-
 _INVARIANTS: dict[type, Callable[[Any, str], None]] = {
     TokenLifetimes: _lifetime_order,
     DestinationTemplates: _distinct_destinations,
-    RegistryConfig: _one_account_placeholder,
 }
 
 
@@ -401,7 +434,7 @@ def _override_check(key: str, path: str) -> _Check:
     """The validator of the overridable field named by the dotted ``key``."""
     head, dot, member = key.partition(".")
     spec = _schema(GlobalConfig)[head] if head in _OVERRIDABLE else None
-    if spec is None or (dot if spec.group is None else not member):
+    if spec is None or key == "commands.transfer" or (dot if spec.group is None else not member):
         raise ValidationError(f"{path}: not an overridable field")
     if spec.group is None:
         return spec.check

@@ -7,6 +7,11 @@ default location into per-service staging so the next service's token cannot
 collide with it. The storer tool cannot run concurrently: the caller runs
 every :func:`store_vault_tokens` call of a run on one thread.
 
+The storer's token is checked here, once, where it enters the program: it
+must be non-empty, the staged copy is made owner-only, and with
+``token_prefix_check`` on it must start with ``hvs.`` or ``s.``. Later
+stages trust the staged file.
+
 Command lines are config templates; each invocation also carries the
 designations downstream tools expect in its environment (credential cache,
 credd host, the shared default token path, and the intended token lifetimes
@@ -34,15 +39,11 @@ DEFAULT_TOKEN_PATH_ENV = "MANAGED_TOKENS_DEFAULT_TOKEN_PATH"
 VAULT_LOCAL_SECONDS_ENV = "MANAGED_TOKENS_VAULT_LOCAL_SECONDS"
 VAULT_CREDD_SECONDS_ENV = "MANAGED_TOKENS_VAULT_CREDD_SECONDS"
 
-ACCEPTED_TOKEN_PREFIXES = ("hvs.", "s.")
+ACCEPTED_TOKEN_PREFIXES = (b"hvs.", b"s.")
 
 
 class CredentialError(Exception):
     """Base class for credential-stage failures."""
-
-
-class InvalidPrincipal(CredentialError):
-    """A principal component is empty."""
 
 
 class KeytabMissing(CredentialError):
@@ -64,6 +65,10 @@ class TokenNotProduced(CredentialError):
     """The storer succeeded but left no token at the shared default location."""
 
 
+class TokenRejected(CredentialError):
+    """The staged token lacks a vault token's ``hvs.``/``s.`` prefix."""
+
+
 class InteractiveAuthRequired(CredentialError):
     """The storer asked for an interactive OIDC login; onboarding has not
     been completed by an operator; the prompt is surfaced verbatim."""
@@ -71,14 +76,6 @@ class InteractiveAuthRequired(CredentialError):
     def __init__(self, prompt_line: str):
         super().__init__(f"interactive authentication required: {prompt_line.strip()}")
         self.prompt_line = prompt_line
-
-
-@dataclass(frozen=True)
-class KerberosPrincipal:
-    user: str
-    purpose: str
-    host: str
-    realm: str
 
 
 @dataclass(frozen=True)
@@ -96,50 +93,19 @@ class VaultTokenFile:
     uid: int
 
 
-@dataclass(frozen=True)
-class TokenCheck:
-    exists: bool
-    non_empty: bool
-    perms_ok: bool
-    prefix_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.exists and self.non_empty and self.perms_ok and self.prefix_ok
-
-
-def render_principal(principal: KerberosPrincipal) -> str:
-    """Render the robot-credential name: user/purpose/host@realm."""
-    for name in ("user", "purpose", "host", "realm"):
-        if not getattr(principal, name):
-            raise InvalidPrincipal(f"principal {name} must be non-empty")
-    return f"{principal.user}/{principal.purpose}/{principal.host}@{principal.realm}"
-
-
-def service_principal(svc: ResolvedService) -> KerberosPrincipal:
-    return KerberosPrincipal(
-        user=svc.principal_user,
-        purpose=svc.principal_purpose,
-        host=svc.principal_host,
-        realm=svc.kerberos_realm,
-    )
+def render_principal(svc: ResolvedService) -> str:
+    """Render the service's robot-credential name: user/purpose/host@realm."""
+    return (f"{svc.principal_user}/{svc.principal_purpose}/{svc.principal_host}"
+            f"@{svc.kerberos_realm}")
 
 
 def render_command(template: str, values: Mapping[str, str]) -> tuple[str, ...]:
     """Split a command template into argv with shell quoting rules (so
     ``-e "ssh -o ControlMaster=auto"`` is one argument), then substitute
-    placeholders per token (so a value containing spaces stays one argument)."""
-    try:
-        tokens = shlex.split(template)
-    except ValueError as exc:
-        raise CredentialError(f"cannot split command template {template!r}: {exc}")
-    argv = []
-    for token in tokens:
-        try:
-            argv.append(token.format(**values))
-        except KeyError as exc:
-            raise CredentialError(f"unknown placeholder {exc} in command template {template!r}")
-    return tuple(argv)
+    placeholders per token (so a value containing spaces stays one argument).
+    Config load has checked that the template splits and names only
+    placeholders its caller supplies."""
+    return tuple(token.format(**values) for token in shlex.split(template))
 
 
 def ticket_cache_path(svc: ResolvedService) -> str:
@@ -165,12 +131,9 @@ def acquire_ticket(svc: ResolvedService, runner: CommandRunner) -> TicketCache:
     cache_dir = os.path.join(svc.state_dir, "krb5cc")
     os.makedirs(cache_dir, mode=0o700, exist_ok=True)
     cache = ticket_cache_path(svc)
-    principal = render_principal(service_principal(svc))
-    argv = render_command(
-        svc.commands.ticket,
-        {"keytab": svc.keytab_path, "principal": principal, "cache": cache,
-         "service": svc.name},
-    )
+    argv = render_command(svc.commands.ticket, {
+        "keytab": svc.keytab_path, "principal": render_principal(svc), "cache": cache,
+        "service": svc.name})
     inv = runner.run(argv, env_overrides={KRB5_CACHE_ENV: f"FILE:{cache}"},
                      timeout=svc.timeouts.ticket)
     if inv.exit_code != 0:
@@ -200,13 +163,15 @@ def store_vault_tokens(
     after the last credd host succeeds that file is *moved* to
     ``{state_dir}/tokens/{service}/vaulttoken`` (owner-only) so tokens of
     different services never collide. A failure against one credd aborts the
-    remaining credds for this service.
+    remaining credds for this service. With ``token_prefix_check`` on, a
+    staged token without the ``hvs.``/``s.`` prefix raises
+    :class:`TokenRejected`, so it is never pushed.
     """
     shared_path = default_token_path(svc, uid)
     values = {
         "service": svc.name,
         "keytab": svc.keytab_path,
-        "principal": render_principal(service_principal(svc)),
+        "principal": render_principal(svc),
         "cache": ticket.cache_path,
         "account": svc.account,
         "experiment": svc.experiment,
@@ -240,25 +205,10 @@ def store_vault_tokens(
     os.chmod(staged_dir, 0o700)
     shutil.move(shared_path, staged)
     os.chmod(staged, 0o600)
+    if svc.token_prefix_check:
+        with open(staged, "rb") as fh:
+            if not fh.read(4).startswith(ACCEPTED_TOKEN_PREFIXES):
+                raise TokenRejected(f"staged token at {staged} does not start with hvs. or s.")
 
     return VaultTokenFile(path=staged, uid=uid)
 
-
-def validate_token_file(path: str, check_prefix: bool = False) -> TokenCheck:
-    """Inspect a staged token file; all findings are reported, nothing raises."""
-    exists = os.path.isfile(path)
-    non_empty = exists and os.path.getsize(path) > 0
-    perms_ok = False
-    if exists:
-        mode = os.stat(path).st_mode & 0o777
-        perms_ok = (mode & 0o077) == 0
-    if not check_prefix:
-        prefix_ok = True
-    else:
-        prefix_ok = False
-        if non_empty:
-            with open(path, "rb") as fh:
-                head = fh.read(8).decode("ascii", errors="replace")
-            prefix_ok = head.startswith(ACCEPTED_TOKEN_PREFIXES)
-    return TokenCheck(exists=exists, non_empty=non_empty, perms_ok=perms_ok,
-                      prefix_ok=prefix_ok)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Optional
 
 from .config import ResolvedService
-from .credentials import VaultTokenFile, validate_token_file
+from .credentials import VaultTokenFile
 from .interfaces import Clock, TransferAdapter, TransferError, describe_error
 
 logger = logging.getLogger(__name__)
@@ -47,8 +47,6 @@ class PushOutcome:
 def compute_destinations(svc: ResolvedService, uid: int) -> tuple[str, str]:
     """Render a service's two remote paths, the same on every node, from the
     configured templates: (user-style, uid/issuer/role-style)."""
-    if uid < 0:
-        raise ValueError("uid must be >= 0")
     values = {
         "tmp_dir": svc.tmp_dir,
         "uid": uid,
@@ -127,12 +125,9 @@ class PushScheduler:
         return bool(self._open or self._finished)
 
     def add(self, svc: ResolvedService, token: VaultTokenFile) -> None:
-        """Queue every node of ``svc``. The staged token is validated first,
-        and so is its ``hvs.``/``s.`` prefix when the service asks for it; a
-        token that fails raises ``ValueError`` before any copy."""
-        check = validate_token_file(token.path, svc.token_prefix_check)
-        if not check.ok:
-            raise ValueError(f"staged token at {token.path} failed validation: {check}")
+        """Queue every node of ``svc``. Paths that render equal or relative
+        raise ``ValueError`` before any copy; the token itself was checked
+        when it was staged."""
         push = ServicePush(svc, token, compute_destinations(svc, token.uid),
                            self._clock.now(), [0] * len(svc.nodes),
                            collections.deque(range(len(svc.nodes))))

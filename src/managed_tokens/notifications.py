@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional
 
 from .config import GlobalConfig
 from .interfaces import NotificationSink, describe_error
-from .statestore import FailureCounter, Store, notification_due
+from .statestore import FailureCounter, Store
 
 logger = logging.getLogger(__name__)
 
@@ -62,6 +62,13 @@ class AdminSummary:
     events: tuple[ErrorEvent, ...]
     run_id: str
     generated_at: float
+
+
+def notification_due(counter: FailureCounter, threshold: int) -> bool:
+    """True once the streak is ``threshold`` failures past the watermark that
+    :meth:`Store.mark_notified` sets after a send (0 before the first): at
+    ``threshold`` consecutive failures, then every further ``threshold``."""
+    return counter.consecutive_failures - counter.last_notified_count >= threshold
 
 
 def _iso(ts: float) -> str:
@@ -145,11 +152,9 @@ def aggregate(
 
     batches: list[NotificationBatch] = []
     for service in sorted(due):
-        svc_cfg = config.services.get(service)
-        recipients = svc_cfg.stakeholder_emails if svc_cfg is not None else ()
         batch = NotificationBatch(
             service=service,
-            recipients=recipients,
+            recipients=config.services[service].stakeholder_emails,
             subject=f"{SUBJECT_PREFIX} {service}: token distribution failures",
             body="",
             node_failures=tuple(sorted(due[service])),

@@ -186,8 +186,8 @@ class _Stages:
             try:
                 pushes.add(svc, token)
             except Exception as exc:
-                # Raised by the push as a whole (a bad staged token, say), not
-                # by one node: report it against every node of the service.
+                # Raised by the push as a whole (destination paths that render
+                # equal, say), not by one node: report it against every node.
                 message = describe_error(exc)
                 self.record(svc.name, "push", started, message,
                             dict.fromkeys(svc.nodes, message))

@@ -37,7 +37,7 @@ class HttpError(RegistryError):
 
 
 class SchemaError(RegistryError):
-    """The response body is missing the UID field or it is not an integer."""
+    """The response body is missing the UID field or it is not an integer >= 0."""
 
 
 def _extract_path(payload: Any, dotted: str) -> Any:
@@ -50,9 +50,7 @@ def _extract_path(payload: Any, dotted: str) -> Any:
 
 
 def fetch_uid(cfg: RegistryConfig, http: HttpAdapter, account: str) -> int:
-    """Look up one account's UID. Side-effect free."""
-    if not account:
-        raise ValueError("account must be non-empty")
+    """Look up one account's UID, an integer >= 0. Side-effect free."""
     if not cfg.base_url:
         raise RegistryError("registry.base_url is not configured")
     url = cfg.base_url.rstrip("/") + cfg.uid_endpoint_template.format(
@@ -65,8 +63,8 @@ def fetch_uid(cfg: RegistryConfig, http: HttpAdapter, account: str) -> int:
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"response is not valid JSON: {exc}") from exc
     value = _extract_path(payload, cfg.uid_json_path)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"field {cfg.uid_json_path!r} is not an integer: {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SchemaError(f"field {cfg.uid_json_path!r} is not an integer >= 0: {value!r}")
     return value
 
 
@@ -95,7 +93,7 @@ def refresh_all_uids(
     for account in accounts:
         try:
             uid = fetch_uid(cfg, http, account)
-        except (RegistryError, TransportError, ValueError) as exc:
+        except (RegistryError, TransportError) as exc:
             logger.error("uid refresh failed account=%s error=%s", account, exc)
             errors[account] = str(exc)
             continue

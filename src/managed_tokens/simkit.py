@@ -465,7 +465,8 @@ class SentMessage:
 
 
 class RecordingSink:
-    """NotificationSink double that records messages; optionally scripted to fail."""
+    """NotificationSink double that records messages; optionally scripted to
+    fail (``RuntimeError``) or hang (``TimeoutError``), and then records none."""
 
     def __init__(self, schedule: Optional[FaultSchedule] = None):
         self.messages: list[SentMessage] = []
@@ -477,6 +478,8 @@ class RecordingSink:
         _, behavior = self.faults.step("send")
         if behavior.kind == "fail":
             raise RuntimeError(behavior.message)
+        if behavior.kind == "hang":
+            raise TimeoutError("notification send timed out")
         with self._mutex:
             self.messages.append(SentMessage(tuple(recipients), subject, body))
 

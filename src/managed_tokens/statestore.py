@@ -10,9 +10,8 @@ torn record).
 
 ``consecutive_failures`` counts *final* per-run outcomes: one scheduled run
 contributes at most one success/failure per (service, node), after intra-run
-retries are exhausted. ``notification_due`` gates stakeholder mail on that
-counter and re-fires every further ``threshold`` failures so persistent
-breakage keeps surfacing without per-run alarm noise.
+retries are exhausted. ``last_notified_count`` is the watermark that
+:func:`~.notifications.notification_due` pages from.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Iterator, Optional
 
 DB_FILENAME = "managed-tokens.sqlite"
 LOCK_FILENAME = "writer.lock"
-DEFAULT_NOTIFICATION_THRESHOLD = 3
 
 
 class StoreError(Exception):
@@ -56,21 +54,6 @@ class FailureCounter:
     consecutive_failures: int
     last_attempt_at: float
     last_notified_count: int
-
-
-def notification_due(counter: FailureCounter, threshold: int = DEFAULT_NOTIFICATION_THRESHOLD) -> bool:
-    """True when the counter has crossed the next notification point.
-
-    Fires at ``threshold`` consecutive failures and again every further
-    ``threshold`` failures beyond the last acknowledged notification. The
-    caller must acknowledge with :meth:`Store.mark_notified` after sending.
-    """
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    return (
-        counter.consecutive_failures >= threshold
-        and counter.consecutive_failures - counter.last_notified_count >= threshold
-    )
 
 
 class Store:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 import yaml
 
-from managed_tokens import statestore
+from managed_tokens import simkit, statestore
 from managed_tokens.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
@@ -127,6 +129,24 @@ class TestTokenPush:
         assert code == EXIT_OK
         assert "(dry run)" in out
         assert "notifications sent" not in out
+        with open_store(str(sim_site.state_dir)) as store:
+            assert store.counters() == []
+
+    @pytest.mark.parametrize("flags", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_bearer_token_fails_vault_store_once(self, sim_site, capsys, monkeypatch,
+                                                 flags):
+        # The rehearsal storer writes a bearer token (a JWT), not a vault token.
+        monkeypatch.setattr(simkit, "write_token_from_env", functools.partial(
+            simkit.write_token_from_env, content=b"eyJhbGciOiJSUzI1NiJ9.bearer\n"))
+        config = sim_config(sim_site, token_prefix_check=True)
+        code = main_token_push(["--config", config, "--service", "dune_production", *flags])
+        out = capsys.readouterr().out
+        assert code == EXIT_PARTIAL
+        assert "1 service(s), 1 with failures" in out
+        # The token fails where it enters; no push stage follows it.
+        assert ("dune_production: registry ok, ticket ok, vault_store FAILED "
+                "(TokenRejected: staged token at ") in out
+        assert "does not start with hvs. or s.)\n" in out
         with open_store(str(sim_site.state_dir)) as store:
             assert store.counters() == []
 

@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from managed_tokens import adapters, credentials, distribution, registry, simkit
 from managed_tokens import config as config_mod
 from managed_tokens.config import (
     ENV_METRICS_GATEWAY_URL,
@@ -479,6 +480,12 @@ MESSAGE_ROWS = [
         "config.services.svc.account: required field is missing"),
     row("account-empty", {f"{SVC}/account": ""},
         "config.services.svc.account: expected a non-empty string"),
+    row("principal_user-empty", {f"{SVC}/principal_user": ""},
+        "config.services.svc.principal_user: expected a non-empty string"),
+    row("principal_purpose-empty", {f"{SVC}/principal_purpose": ""},
+        "config.services.svc.principal_purpose: expected a non-empty string"),
+    row("principal_host-empty", {f"{SVC}/principal_host": ""},
+        "config.services.svc.principal_host: expected a non-empty string"),
     row("token_issuer-number", {f"{SVC}/token_issuer": 7},
         "config.services.svc.token_issuer: expected a non-empty string"),
     # Lists.
@@ -518,6 +525,8 @@ MESSAGE_ROWS = [
         "config.notification.smtp_port: must be >= 1"),
     row("threshold-bool", {"notification/threshold": False},
         "config.notification.threshold: expected an integer"),
+    row("threshold-zero", {"notification/threshold": 0},
+        "config.notification.threshold: must be >= 1"),
     # Durations.
     row("timeout-zero", {"timeouts/transfer": 0}, "config.timeouts.transfer: must be > 0"),
     row("backoff-negative", {"retry/base_backoff": -1}, "config.retry.base_backoff: must be > 0"),
@@ -532,6 +541,8 @@ MESSAGE_ROWS = [
     # Strings and booleans.
     row("tmp_dir-empty", {"tmp_dir": ""}, "config.tmp_dir: expected a non-empty string"),
     row("tmp_dir-null", {"tmp_dir": None}, "config.tmp_dir: expected a non-empty string"),
+    row("kerberos_realm-empty", {"kerberos_realm": ""},
+        "config.kerberos_realm: expected a non-empty string"),
     row("from_address-empty", {"notification/from_address": ""},
         "config.notification.from_address: expected a non-empty string"),
     row("ca_bundle-empty", {"registry/ca_bundle": ""},
@@ -596,6 +607,35 @@ MESSAGE_ROWS = [
         "config.simulation.registry_uids.duneprod: must be >= 0"),
     row("registry_uid-string", {"simulation/registry_uids": {"duneprod": "5000"}},
         "config.simulation.registry_uids.duneprod: expected an integer"),
+    # Templates: only the placeholders their renderer supplies.
+    row("default_token_path-unknown-placeholder",
+        {"default_token_path": "{tmp_dir}/vt_{account}"},
+        "config.default_token_path: unknown placeholder {account} (allowed: {tmp_dir} {uid})"),
+    row("commands-storer-unknown-placeholder", {"commands/storer": "condor_vault_storer {svc}"},
+        "config.commands.storer: unknown placeholder {svc} (allowed: {keytab} {principal} "
+        "{cache} {service} {credd} {account} {experiment} {role} {issuer} "
+        "{vault_local_seconds} {vault_credd_seconds})"),
+    row("commands-ticket-unknown-placeholder", {"commands/ticket": "kinit {credd}"},
+        "config.commands.ticket: unknown placeholder {credd} "
+        "(allowed: {keytab} {principal} {cache} {service})"),
+    row("commands-transfer-unbalanced-quote",
+        {"commands/transfer": 'rsync -e "ssh {local} {node}:{remote}'},
+        "config.commands.transfer: cannot render 'rsync -e \"ssh {local} {node}:{remote}': "
+        "No closing quotation"),
+    row("destination-role-unknown-placeholder",
+        {"destination_templates/role": "{tmp_dir}/vt_u{uid}-{nodename}"},
+        "config.destination_templates.role: unknown placeholder {nodename} "
+        "(allowed: {tmp_dir} {uid} {issuer} {role} {service} {account})"),
+    row("destination-user-unclosed-brace", {"destination_templates/user": "{tmp_dir/vt"},
+        "config.destination_templates.user: cannot render '{tmp_dir/vt': "
+        "expected '}' before end of string"),
+    row("destination-user-positional", {"destination_templates/user": "{tmp_dir}/vt_{}"},
+        "config.destination_templates.user: cannot render '{tmp_dir}/vt_{}': "
+        "Replacement index 0 out of range for positional args tuple"),
+    row("endpoint-unknown-placeholder",
+        {"registry/uid_endpoint_template": "/users?name={account}&site={site}"},
+        "config.registry.uid_endpoint_template: unknown placeholder {site} "
+        "(allowed: {account})"),
     # Cross-field rules.
     row("lifetimes-bearer-too-long", {"token_lifetimes/bearer": "8d"},
         "config.token_lifetimes: " + LIFETIME_ORDER.format(691200.0, 604800.0, 2419200.0)),
@@ -629,6 +669,13 @@ MESSAGE_ROWS = [
         "config.services.svc.overrides.timeouts.transfer: cannot parse duration 'soon'"),
     row("override-bad-string", {OVR: {"commands.storer": ""}},
         "config.services.svc.overrides.commands.storer: expected a non-empty string"),
+    row("override-unknown-placeholder", {OVR: {"commands.storer": "condor_vault_storer {svc}"}},
+        "config.services.svc.overrides.commands.storer: unknown placeholder {svc} "
+        "(allowed: {keytab} {principal} {cache} {service} {credd} {account} {experiment} "
+        "{role} {issuer} {vault_local_seconds} {vault_credd_seconds})"),
+    row("override-transfer-command",
+        {OVR: {"commands.transfer": "scp {local} {node}:{remote}"}},
+        "config.services.svc.overrides.commands.transfer: not an overridable field"),
     row("override-bad-bool", {OVR: {"token_prefix_check": "no"}},
         "config.services.svc.overrides.token_prefix_check: expected a boolean (true or false)"),
     row("override-breaks-lifetimes", {OVR: {"token_lifetimes.vault_local": "30d"}},
@@ -667,3 +714,59 @@ class TestMessages:
         with pytest.raises(ValidationError) as caught:
             load_config_text(message_document(patch))
         assert str(caught.value) == message
+
+
+def words(command: str, placeholders: tuple[str, ...]) -> str:
+    """A command template with one ``name={name}`` argument per placeholder."""
+    return " ".join([command, *(f"{name}={{{name}}}" for name in placeholders)])
+
+
+def path(placeholders: tuple[str, ...]) -> str:
+    """An absolute path template naming every placeholder."""
+    return "/".join(["", *(f"{name}{{{name}}}" for name in placeholders)])
+
+
+class TestTemplatePlaceholders:
+    """Every placeholder config load allows in a template reaches the code
+    that renders it, so the allowed lists and the renderers stay in step."""
+
+    @staticmethod
+    def assert_rendered(argv, placeholders):
+        rendered = dict(word.split("=", 1) for word in argv[1:])
+        assert sorted(rendered) == sorted(placeholders)
+        assert not any("{" in value for value in rendered.values())
+
+    def test_commands(self, site):
+        site.add_service("dune_production", overrides={
+            "commands.ticket": words("kinit", config_mod.TICKET_PLACEHOLDERS),
+            "commands.storer": words("condor_vault_storer", config_mod.STORER_PLACEHOLDERS)})
+        cfg = site.config(commands={
+            "transfer": words("rsync", config_mod.TRANSFER_PLACEHOLDERS)})
+        svc = resolve_service(cfg, "dune_production")
+        runner = simkit.scripted_runner(simkit.always_succeed(),
+                                        side_effects=simkit.write_token_from_env(),
+                                        clock=simkit.FixedClock())
+        ticket = credentials.acquire_ticket(svc, runner)
+        credentials.store_vault_tokens(svc, 4521, ticket, runner)
+        adapters.CommandTransferAdapter(cfg.commands.transfer, runner).put(
+            "/local/token", "submit1.example.org", "/remote/token")
+        kinit, storer, transfer = (entry.args for entry in runner.log.entries())
+        self.assert_rendered(kinit, config_mod.TICKET_PLACEHOLDERS)
+        self.assert_rendered(storer, config_mod.STORER_PLACEHOLDERS)
+        self.assert_rendered(transfer, config_mod.TRANSFER_PLACEHOLDERS)
+
+    def test_paths_and_endpoint(self, site):
+        site.add_service("dune_production", overrides={
+            "destination_templates.user": path(config_mod.DESTINATION_PLACEHOLDERS),
+            "destination_templates.role": path(config_mod.DESTINATION_PLACEHOLDERS) + "-r",
+            "default_token_path": path(config_mod.TOKEN_PATH_PLACEHOLDERS)})
+        endpoint = "/users?" + "&".join(f"{name}={{{name}}}"
+                                        for name in config_mod.UID_ENDPOINT_PLACEHOLDERS)
+        cfg = site.config(registry={"base_url": "http://registry.example.org",
+                                    "uid_endpoint_template": endpoint})
+        svc = resolve_service(cfg, "dune_production")
+        rendered = [*distribution.compute_destinations(svc, 4521),
+                    credentials.default_token_path(svc, 4521)]
+        assert not any("{" in value for value in rendered)
+        http = simkit.fake_registry({"duneprod": 4521}, endpoint_template=endpoint)
+        assert registry.fetch_uid(cfg.registry, http, "duneprod") == 4521

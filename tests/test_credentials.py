@@ -1,4 +1,4 @@
-"""Kerberos ticket acquisition, vault-token storing/staging, token checks."""
+"""Kerberos ticket acquisition, vault-token storing/staging and its token check."""
 
 from __future__ import annotations
 
@@ -10,22 +10,18 @@ from managed_tokens import simkit
 from managed_tokens.config import CommandTemplates, resolve_service
 from managed_tokens.credentials import (
     CommandFailed,
-    CredentialError,
     InteractiveAuthRequired,
-    InvalidPrincipal,
-    KerberosPrincipal,
     KeytabMissing,
     TicketCache,
     TokenNotProduced,
+    TokenRejected,
     acquire_ticket,
     default_token_path,
     render_command,
     render_principal,
-    service_principal,
     staging_path,
     store_vault_tokens,
     ticket_cache_path,
-    validate_token_file,
 )
 from managed_tokens.interfaces import CommandTimeout, Invocation
 
@@ -53,24 +49,13 @@ def make_ticket(svc) -> TicketCache:
 
 
 class TestPrincipal:
-    def test_rendered_form(self):
-        principal = KerberosPrincipal("duneprod", "managedtokens",
-                                      "tokens.example.org", "EXAMPLE.ORG")
-        assert render_principal(principal) == (
+    def test_rendered_form(self, site):
+        assert render_principal(one_service(site)) == (
             "duneprod/managedtokens/tokens.example.org@EXAMPLE.ORG")
 
-    @pytest.mark.parametrize("field", ["user", "purpose", "host", "realm"])
-    def test_empty_component_rejected(self, field):
-        values = {"user": "u", "purpose": "p", "host": "h", "realm": "R"}
-        values[field] = ""
-        with pytest.raises(InvalidPrincipal, match=field):
-            render_principal(KerberosPrincipal(**values))
-
     def test_service_principal_uses_service_fields(self, site):
-        svc = one_service(site)
-        principal = service_principal(svc)
-        assert principal.user == svc.account
-        assert principal.realm == "EXAMPLE.ORG"
+        svc = one_service(site, "mu2e_production")
+        assert render_principal(svc) == "mu2eprod/managedtokens/tokens.example.org@EXAMPLE.ORG"
 
 
 class TestRenderCommand:
@@ -83,10 +68,6 @@ class TestRenderCommand:
         argv = render_command("run {arg}", {"arg": "two words"})
         assert argv == ("run", "two words")
 
-    def test_unknown_placeholder(self):
-        with pytest.raises(CredentialError, match="placeholder"):
-            render_command("run {mystery}", {})
-
     def test_quoted_ssh_option_stays_one_argument(self):
         argv = render_command(
             'rsync -p -e "ssh -o ControlMaster=auto" {local} {node}:{remote}',
@@ -98,11 +79,6 @@ class TestRenderCommand:
         argv = render_command("copy '{local}' {node}",
                               {"local": "/dir with spaces/tok", "node": "n1"})
         assert argv == ("copy", "/dir with spaces/tok", "n1")
-
-    def test_unbalanced_quote_names_the_template(self):
-        template = 'rsync -e "ssh {local} {node}:{remote}'
-        with pytest.raises(CredentialError, match="rsync -e"):
-            render_command(template, {"local": "l", "node": "n", "remote": "r"})
 
     def test_default_templates_split_on_whitespace_as_before(self):
         values = {"keytab": "/k", "cache": "/c", "principal": "p@R",
@@ -261,40 +237,32 @@ class TestStoreVaultTokens:
         with pytest.raises(TokenNotProduced):
             store_vault_tokens(svc, 4521, make_ticket(svc), runner)
 
-
-class TestValidateTokenFile:
-    def write(self, tmp_path, content=b"hvs.abc\n", mode=0o600):
-        path = tmp_path / "vaulttoken"
-        path.write_bytes(content)
-        os.chmod(path, mode)
-        return str(path)
-
-    def test_missing_file(self, tmp_path):
-        check = validate_token_file(str(tmp_path / "nope"))
-        assert not check.exists and not check.ok
-
-    def test_good_file(self, tmp_path):
-        check = validate_token_file(self.write(tmp_path))
-        assert check.ok
-
-    def test_empty_file(self, tmp_path):
-        check = validate_token_file(self.write(tmp_path, content=b""))
-        assert check.exists and not check.non_empty and not check.ok
-
-    def test_group_readable_file(self, tmp_path):
-        check = validate_token_file(self.write(tmp_path, mode=0o640))
-        assert check.exists and check.non_empty and not check.perms_ok
-
     @pytest.mark.parametrize("content,ok", [
         (b"hvs.CAESIJ...", True),
         (b"s.f7Ay3...", True),
         (b"eyJhbGciOi...", False),
     ])
-    def test_prefix_check_when_enabled(self, tmp_path, content, ok):
-        check = validate_token_file(self.write(tmp_path, content=content),
-                                    check_prefix=True)
-        assert check.prefix_ok is ok
+    def test_prefix_check_when_enabled(self, site, content, ok):
+        svc = one_service(site, overrides={"token_prefix_check": True})
+        runner = simkit.scripted_runner(
+            simkit.always_succeed(),
+            side_effects=simkit.write_token_from_env(content=content),
+            clock=simkit.FixedClock())
+        if ok:
+            token = store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+            assert token.path == staging_path(svc)
+        else:
+            with pytest.raises(TokenRejected, match="does not start with hvs. or s."):
+                store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+        # Checked after the move: the shared location never keeps the token.
+        assert not os.path.exists(default_token_path(svc, 4521))
 
-    def test_prefix_check_disabled_accepts_anything(self, tmp_path):
-        check = validate_token_file(self.write(tmp_path, content=b"eyJhbGciOi"))
-        assert check.prefix_ok
+    def test_prefix_check_disabled_accepts_anything(self, site):
+        svc = one_service(site)
+        runner = simkit.scripted_runner(
+            simkit.always_succeed(),
+            side_effects=simkit.write_token_from_env(content=b"eyJhbGciOi"),
+            clock=simkit.FixedClock())
+        token = store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+        with open(token.path, "rb") as fh:
+            assert fh.read() == b"eyJhbGciOi"

@@ -63,11 +63,6 @@ class TestDestinations:
         assert user.endswith("/vt_u0")
         assert role.endswith("/vt_u0-dunevault_production")
 
-    def test_negative_uid_rejected(self, site):
-        svc = one_service(site)
-        with pytest.raises(ValueError):
-            compute_destinations(svc, -1)
-
     def custom(self, site, user, role):
         return one_service(site, overrides={"destination_templates.user": user,
                                             "destination_templates.role": role})
@@ -157,17 +152,6 @@ class TestPushToken:
                             rng=random.Random(1))
         assert not outcome.success
         assert outcome.attempts == 2
-
-    def test_missing_staged_token_is_a_caller_bug(self, site, tmp_path):
-        token = VaultTokenFile(str(tmp_path / "gone"), 4521)
-        with pytest.raises(ValueError, match="validation"):
-            self.push(site, token, simkit.memory_transfer(), simkit.FixedClock())
-
-    def test_world_readable_staged_token_rejected(self, site, staged_token):
-        os.chmod(staged_token.path, 0o644)
-        with pytest.raises(ValueError):
-            self.push(site, staged_token, simkit.memory_transfer(),
-                      simkit.FixedClock())
 
     def test_backoff_windows_double_per_attempt(self, site, staged_token):
         """Replay the jitter draws with an identically seeded RNG and compare

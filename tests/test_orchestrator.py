@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import os
+import dataclasses
 import sys
 import threading
 
 import pytest
 
-from managed_tokens import credentials, orchestrator, simkit, statestore
+from managed_tokens import orchestrator, simkit, statestore
 from managed_tokens.config import UnknownService
 from managed_tokens.orchestrator import (
     FatalSetupError,
@@ -44,16 +44,14 @@ def fail_service_command(bundle, command, service, message):
     return failing
 
 
-def stage_world_readable_token(monkeypatch):
-    """Make the storer's token readable by everyone, so it fails validation."""
-    store_vault_tokens = credentials.store_vault_tokens
+#: A WLCG bearer token (a JWT), which must never be shipped as a vault token.
+BEARER_TOKEN = b"eyJhbGciOiJSUzI1NiJ9.not-a-vault-token\n"
 
-    def world_readable(*args, **kwargs):
-        token = store_vault_tokens(*args, **kwargs)
-        os.chmod(token.path, 0o644)
-        return token
 
-    monkeypatch.setattr(credentials, "store_vault_tokens", world_readable)
+def bearer_token_bundle(**kwargs):
+    """A bundle whose storer writes a bearer token instead of a vault token."""
+    return make_bundle(storer_side_effects=simkit.write_token_from_env(content=BEARER_TOKEN),
+                       **kwargs)
 
 
 def stages_of(report, service):
@@ -149,6 +147,22 @@ class TestUidResolution:
         assert all(r.success for r in report.per_service["mu2e_production"])
 
 
+    def test_negative_uid_fails_only_the_registry_stage(self, site, caplog):
+        site.add_service("dune_production")
+        site.add_service("mu2e_production")
+        cfg = site.config()
+        bundle = make_bundle(uids={"duneprod": -5, "mu2eprod": 2002})
+        with caplog.at_level("ERROR", logger="managed_tokens"):
+            report = run_token_push(cfg, bundle)
+        (only,) = report.per_service["dune_production"]
+        assert (only.stage, only.success) == ("registry", False)
+        assert "not an integer >= 0: -5" in only.detail
+        assert "pipeline crashed" not in caplog.text
+        assert all(r.success for r in report.per_service["mu2e_production"])
+        with open_store(cfg.state_dir) as store:
+            assert store.lookup_uid("duneprod") is None
+
+
 class TestFailureIsolation:
     def test_ticket_failure_stops_only_that_service(self, site):
         site.add_service("dune_production")
@@ -208,59 +222,29 @@ class TestFailureIsolation:
             assert store.get_counter("dune_production",
                                      "submit1.example.org").consecutive_failures == 0
 
-    def test_invalid_staged_token_fails_push_before_any_put(self, site, monkeypatch):
+    def test_prefix_check_fails_vault_store_before_any_put(self, site):
         site.add_service("dune_production")
-        cfg = site.config()
+        cfg = site.config(token_prefix_check=True)
         site.seed_uids(site.uid_map())
-        stage_world_readable_token(monkeypatch)
-        bundle = make_bundle()
+        bundle = bearer_token_bundle()
         report = run_token_push(cfg, bundle)
-        push_result = report.per_service["dune_production"][-1]
-        assert push_result.stage == "push" and not push_result.success
-        assert push_result.detail.startswith("ValueError: staged token at ")
-        assert "failed validation" in push_result.detail
+        assert stages_of(report, "dune_production") == ["ticket", "vault_store"]
+        store_result = report.per_service["dune_production"][-1]
+        assert not store_result.success
+        assert store_result.detail.startswith("TokenRejected: staged token at ")
         assert report.push_outcomes == ()
         assert bundle.transfer.log.entries() == ()
         with open_store(cfg.state_dir) as store:
             assert store.counters() == []
         (summary,) = bundle.sink.messages
-        assert "failed validation" in summary.body
+        assert "1 failure(s)" in summary.subject
+        assert summary.body.count("TokenRejected") == 1
 
-    @staticmethod
-    def stage_unprefixed_token(monkeypatch):
-        """Make the storer's token a well-formed file without a vault prefix."""
-        store_vault_tokens = credentials.store_vault_tokens
-
-        def unprefixed(*args, **kwargs):
-            token = store_vault_tokens(*args, **kwargs)
-            with open(token.path, "wb") as fh:
-                fh.write(b"eyJhbGciOiJSUzI1NiJ9.not-a-vault-token\n")
-            return token
-
-        monkeypatch.setattr(credentials, "store_vault_tokens", unprefixed)
-
-    def test_prefix_check_fails_push_before_any_put(self, site, monkeypatch):
-        site.add_service("dune_production")
-        cfg = site.config(token_prefix_check=True)
-        site.seed_uids(site.uid_map())
-        self.stage_unprefixed_token(monkeypatch)
-        bundle = make_bundle()
-        report = run_token_push(cfg, bundle)
-        push_result = report.per_service["dune_production"][-1]
-        assert push_result.stage == "push" and not push_result.success
-        assert push_result.detail.startswith("ValueError: staged token at ")
-        assert "prefix_ok=False" in push_result.detail
-        assert report.push_outcomes == ()
-        assert bundle.transfer.log.entries() == ()
-        with open_store(cfg.state_dir) as store:
-            assert store.counters() == []
-
-    def test_prefix_check_off_by_default_pushes_the_same_token(self, site, monkeypatch):
+    def test_prefix_check_off_by_default_pushes_the_same_token(self, site):
         site.add_service("dune_production")
         cfg = site.config()
         site.seed_uids(site.uid_map())
-        self.stage_unprefixed_token(monkeypatch)
-        bundle = make_bundle()
+        bundle = bearer_token_bundle()
         report = run_token_push(cfg, bundle)
         assert report.ok
         assert [o.success for o in report.push_outcomes] == [True, True]
@@ -629,17 +613,17 @@ class TestNotificationsWiring:
             counter = store.get_counter("dune_production", "submit2.example.org")
         assert (counter.consecutive_failures, counter.last_notified_count) == (1, 0)
 
-    def test_token_failing_validation_pages_nobody_from_an_old_counter(self, site,
-                                                                       monkeypatch):
+    def test_token_failing_validation_pages_nobody_from_an_old_counter(self, site):
         cfg = self.leave_submit2_due(site)
-        stage_world_readable_token(monkeypatch)
-        bundle = make_bundle()
+        cfg = dataclasses.replace(cfg, token_prefix_check=True)
+        bundle = bearer_token_bundle()
         report = run_token_push(cfg, bundle)
         assert report.push_outcomes == ()
         assert report.notifications_sent == 1  # the admin summary only
         (summary,) = bundle.sink.messages
         assert summary.recipients == ("ops@example.org",)
-        assert summary.body.count("failed validation") == 2  # one per node
+        assert "1 failure(s)" in summary.subject
+        assert summary.body.count("TokenRejected") == 1
 
     def test_unsaved_watermark_still_sends_the_admin_summary(self, site, monkeypatch,
                                                              caplog):
@@ -900,43 +884,6 @@ class TestConcurrency:
         # The storer, the transfer pool and a prepare pool of at most P
         # workers that is still draining; never a thread per service.
         assert peak <= before + 2 * parallelism + 1
-
-    def test_thread_count_is_bounded_by_services_and_pool(self, site):
-        services, nodes, parallelism = 6, 12, 2
-        node_names = tuple(f"submit{j:02d}.example.org" for j in range(nodes))
-        for i in range(services):
-            site.add_service(f"svc{i}_production", nodes=node_names)
-        cfg = site.config(transfer_parallelism=parallelism)
-        site.seed_uids(site.uid_map())
-        bundle = make_bundle(
-            clock=simkit.SystemClock(),
-            transfer_faults={n: simkit.FaultSchedule("t", (simkit.delay(0.002),))
-                             for n in node_names})
-        inner = bundle.transfer
-        mutex = threading.Lock()
-        peak = [0]
-
-        class CountingTransfer:
-            def put(self, local_path, node, remote_path, timeout=None):
-                with mutex:
-                    peak[0] = max(peak[0], threading.active_count())
-                inner.put(local_path, node, remote_path, timeout=timeout)
-
-        bundle.transfer = CountingTransfer()
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            report = run_token_push(cfg, bundle)
-        finally:
-            sys.setswitchinterval(interval)
-        assert report.ok
-        assert len(report.push_outcomes) == services * nodes
-        assert inner.high_water <= parallelism
-        # The callers' threads, one pipeline thread per service, the pool's
-        # workers and the event consumer; never a thread per node.
-        assert peak[0] <= before + services + parallelism + 2
-        assert threading.active_count() == before
 
     def test_down_node_on_a_clock_that_never_advances(self, site):
         site.add_service("dune_production")

@@ -60,11 +60,10 @@ class TestFetchUid:
         with pytest.raises(SchemaError, match="not valid JSON"):
             fetch_uid(CFG, http, "duneprod")
 
-    def test_empty_account_rejected_before_any_request(self):
-        http = simkit.fake_registry({})
-        with pytest.raises(ValueError):
-            fetch_uid(CFG, http, "")
-        assert http.hits == {}
+    def test_negative_uid_is_a_schema_error(self):
+        http = simkit.fake_registry({"duneprod": -5})
+        with pytest.raises(SchemaError, match="not an integer >= 0: -5"):
+            fetch_uid(CFG, http, "duneprod")
 
     def test_unconfigured_base_url_rejected(self):
         http = simkit.fake_registry({"duneprod": 1001})
@@ -111,6 +110,14 @@ class TestRefreshAllUids:
             assert "b" in report.errors
             assert store.lookup_uid("a") == 1
             assert store.lookup_uid("c") == 3
+
+    def test_negative_uid_fails_that_account_only(self, tmp_path):
+        http = simkit.fake_registry({"a": 1, "b": -5, "c": 3})
+        with open_store(str(tmp_path)) as store:
+            report = refresh_all_uids(CFG, http, store, ["a", "b", "c"], now=0.0)
+            assert (report.ok, report.failed) == (2, 1)
+            assert "not an integer >= 0" in report.errors["b"]
+            assert [(r.account, r.uid) for r in store.uid_records()] == [("a", 1), ("c", 3)]
 
     def test_failed_fetch_never_deletes_a_stored_record(self, tmp_path):
         with open_store(str(tmp_path)) as store:

@@ -336,6 +336,14 @@ class TestRecorders:
         sink.send(["a@x.org"], "s2", "b2")
         assert [m.subject for m in sink.messages] == ["s2"]
 
+    def test_recording_sink_scripted_hang(self):
+        sink = simkit.RecordingSink(schedule=simkit.FaultSchedule(
+            "s", (simkit.hang(), simkit.succeed()), repeat=False))
+        with pytest.raises(TimeoutError):
+            sink.send(["a@x.org"], "s", "b")
+        sink.send(["a@x.org"], "s2", "b2")
+        assert [m.subject for m in sink.messages] == ["s2"]
+
     def test_recording_gateway(self):
         gateway = simkit.RecordingGateway(status=202)
         status, _ = gateway.request("PUT", "http://gw/metrics/job/x", body="data")

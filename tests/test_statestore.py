@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from managed_tokens.config import NotificationConfig
+from managed_tokens.notifications import notification_due
 from managed_tokens.statestore import (
     CorruptStore,
     FailureCounter,
     LockHeld,
     StoreError,
-    notification_due,
     open_store,
 )
 
@@ -236,10 +237,6 @@ class TestNotificationDue:
     def make(self, failures, notified):
         return FailureCounter("svc", "n", failures, 0.0, notified)
 
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            notification_due(self.make(5, 0), threshold=0)
-
     @pytest.mark.parametrize("threshold", [1, 2, 3, 4])
     def test_full_enumeration(self, threshold):
         for count in range(11):
@@ -249,11 +246,13 @@ class TestNotificationDue:
                 assert got == expected, (count, notified, threshold)
 
     def test_sentinel_cases_at_default_threshold(self):
-        assert not notification_due(self.make(2, 0))
-        assert notification_due(self.make(3, 0))
-        assert not notification_due(self.make(4, 3))
-        assert not notification_due(self.make(5, 3))
-        assert notification_due(self.make(6, 3))
+        threshold = NotificationConfig().threshold
+        assert threshold == 3
+        assert not notification_due(self.make(2, 0), threshold)
+        assert notification_due(self.make(3, 0), threshold)
+        assert not notification_due(self.make(4, 3), threshold)
+        assert not notification_due(self.make(5, 3), threshold)
+        assert notification_due(self.make(6, 3), threshold)
 
     @pytest.mark.parametrize("threshold", [1, 2, 3])
     def test_fires_at_every_threshold_multiple_with_ack(self, tmp_path, threshold):
