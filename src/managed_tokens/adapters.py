@@ -24,7 +24,6 @@ from .config import GlobalConfig, resolve_service
 from .credentials import render_command
 from .interfaces import (
     AdapterBundle,
-    Clock,
     CommandRunner,
     CommandTimeout,
     Invocation,
@@ -41,9 +40,6 @@ class RealCommandRunner:
     """Runs external commands through subprocess, environment merged over the
     parent's."""
 
-    def __init__(self, clock: Optional[Clock] = None):
-        self.clock = clock if clock is not None else SystemClock()
-
     def run(
         self,
         argv: Sequence[str],
@@ -54,7 +50,6 @@ class RealCommandRunner:
         env = dict(os.environ)
         if env_overrides:
             env.update(env_overrides)
-        start = self.clock.now()
         try:
             proc = subprocess.run(argv, capture_output=True, text=True,
                                   env=env, timeout=timeout)
@@ -63,12 +58,8 @@ class RealCommandRunner:
         except OSError as exc:
             # Missing or unrunnable binary: report as a failed invocation so
             # the caller gets argv and the reason in one place.
-            end = self.clock.now()
-            return Invocation(argv, dict(env_overrides or {}), 127, "", str(exc),
-                              start, end)
-        end = self.clock.now()
-        return Invocation(argv, dict(env_overrides or {}), proc.returncode,
-                          proc.stdout, proc.stderr, start, end)
+            return Invocation(argv, 127, "", str(exc))
+        return Invocation(argv, proc.returncode, proc.stdout, proc.stderr)
 
 
 class CommandTransferAdapter:
@@ -144,8 +135,7 @@ class SmtpNotificationSink:
 
 
 def build_real_bundle(config: GlobalConfig) -> AdapterBundle:
-    clock = SystemClock()
-    runner = RealCommandRunner(clock=clock)
+    runner = RealCommandRunner()
     return AdapterBundle(
         runner=runner,
         transfer=CommandTransferAdapter(config.commands.transfer, runner),
@@ -155,7 +145,7 @@ def build_real_bundle(config: GlobalConfig) -> AdapterBundle:
             config.notification.smtp_port,
             config.notification.from_address,
         ),
-        clock=clock,
+        clock=SystemClock(),
     )
 
 

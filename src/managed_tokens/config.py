@@ -275,6 +275,15 @@ def _template(placeholders: tuple[str, ...], command: bool = False) -> _Check:
     return check
 
 
+def _regex(value: Any, path: str) -> str:
+    value = _str(value, path)
+    try:
+        re.compile(value)
+    except re.error as exc:
+        raise ValidationError(f"{path}: cannot compile {value!r}: {exc}") from None
+    return value
+
+
 def _str_list(value: Any, path: str) -> tuple[str, ...]:
     if value is None:
         return ()
@@ -342,6 +351,7 @@ _CHECKS: dict[tuple[type, str], _Check] = {
                                           "must be 'real' or 'simulation'"),
     (GlobalConfig, "services"): _services,
     (GlobalConfig, "default_token_path"): _template(TOKEN_PATH_PLACEHOLDERS),
+    (GlobalConfig, "oidc_prompt_regex"): _regex,
     (CommandTemplates, "ticket"): _template(TICKET_PLACEHOLDERS, command=True),
     (CommandTemplates, "storer"): _template(STORER_PLACEHOLDERS, command=True),
     (CommandTemplates, "transfer"): _template(TRANSFER_PLACEHOLDERS, command=True),

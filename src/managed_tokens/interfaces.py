@@ -50,12 +50,9 @@ class Invocation:
     """One completed external-command execution."""
 
     argv: tuple[str, ...]
-    env: Mapping[str, str]
     exit_code: int
     stdout: str
     stderr: str
-    started: float
-    ended: float
 
 
 @runtime_checkable

@@ -1,8 +1,8 @@
-"""Error aggregation and threshold-gated notification delivery.
+"""Threshold-gated notification delivery, read from the run's own record.
 
-Workers emit immutable :class:`ErrorEvent` values; a single consumer
-aggregates them at the end of the run. Operators (admin recipients) get a
-summary of every failure in the run. Experiment stakeholders are only
+:func:`aggregate` reads the stage results and push outcomes the run's report
+holds. Operators (admin recipients) get a summary of every failed or aborted
+stage and every failed node of the run. Experiment stakeholders are only
 mailed about a (service, node) pair once its *consecutive* distribution
 failures reach the configured threshold, and again every further
 ``threshold`` failures, so persistent breakage surfaces and one-off transient
@@ -14,32 +14,19 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .config import GlobalConfig
 from .interfaces import NotificationSink, describe_error
 from .statestore import FailureCounter, Store
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .distribution import PushOutcome
+    from .orchestrator import StageResult
+
 logger = logging.getLogger(__name__)
 
-STAGES = ("registry", "ticket", "vault_store", "push")
-
 SUBJECT_PREFIX = "[managed-tokens]"
-
-
-@dataclass(frozen=True)
-class ErrorEvent:
-    service: str
-    stage: str
-    message: str
-    occurred_at: float
-    node: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.stage not in STAGES:
-            raise ValueError(f"unknown stage {self.stage!r}")
-        if (self.stage == "push") != (self.node is not None):
-            raise ValueError("node must be present exactly when stage is 'push'")
 
 
 @dataclass(frozen=True)
@@ -59,7 +46,8 @@ class AdminSummary:
     recipients: tuple[str, ...]
     subject: str
     body: str
-    events: tuple[ErrorEvent, ...]
+    stages: tuple[StageResult, ...]  # every failed stage result, by service
+    nodes: tuple[PushOutcome, ...]  # every failed push, by (service, node), with an error
     run_id: str
     generated_at: float
 
@@ -73,10 +61,6 @@ def notification_due(counter: FailureCounter, threshold: int) -> bool:
 
 def _iso(ts: float) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _event_sort_key(event: ErrorEvent):
-    return (event.service, event.stage, event.node or "", event.message, event.occurred_at)
 
 
 def render(batch: NotificationBatch) -> str:
@@ -99,56 +83,58 @@ def render(batch: NotificationBatch) -> str:
 
 
 def render_admin_summary(summary: AdminSummary) -> str:
-    """Deterministic plain-text body listing every failure of the run."""
+    """Deterministic plain-text body listing every failure of the run: per
+    service, in name order, each failed stage, then each failed node."""
     lines = [
         f"run: {summary.run_id}",
         f"generated: {_iso(summary.generated_at)}",
         "",
-        f"{len(summary.events)} failure(s) this run:",
+        f"{len(summary.stages)} failure(s) this run:",
         "",
     ]
-    current_service = None
-    for event in summary.events:
-        if event.service != current_service:
-            current_service = event.service
-            lines.append(f"{event.service}:")
-        where = f" node={event.node}" if event.node else ""
-        lines.append(f"  - [{event.stage}]{where} {event.message}")
+    for service in sorted({r.service for r in summary.stages}):
+        lines.append(f"{service}:")
+        lines.extend(f"  - [{r.stage}] {r.detail}"
+                     for r in summary.stages if r.service == service)
+        lines.extend(f"  - [push] node={o.node} {o.error}"
+                     for o in summary.nodes if o.service == service)
     return "\n".join(lines) + "\n"
 
 
 def aggregate(
-    events: Iterable[ErrorEvent],
+    results: Mapping[str, Sequence[StageResult]],
+    outcomes: Mapping[str, Sequence[PushOutcome]],
     counters: Mapping[tuple[str, str], FailureCounter],
     config: GlobalConfig,
     run_id: str,
     now: float,
 ) -> tuple[list[NotificationBatch], AdminSummary]:
-    """Turn the run's closed event stream into stakeholder batches plus an
-    admin summary.
+    """Turn the run's stage results and push outcomes, each by service, into
+    stakeholder batches plus an admin summary.
 
     ``counters`` holds the failure counters this run saved, by (service,
-    node). Only a node with a push event this run and a saved counter that
-    is notification-due is paged, with its latest push error; a node whose
-    counter was not saved is never paged from an older one. Nothing is
-    written here; :func:`dispatch` advances a node's watermark once its
-    batch is sent. Non-push failures (registry, ticket, vault store) reach
-    only the admin summary. The result is independent of the order events
-    arrived in.
+    node). Only a node whose push failed this run and whose saved counter is
+    notification-due is paged, with that push's error; a node whose counter
+    was not saved is never paged from an older one. Nothing is written here;
+    :func:`dispatch` advances a node's watermark once its batch is sent.
+    Non-push failures (registry, ticket, vault store, an aborted stage) and
+    a push that failed as a whole reach only the admin summary, once each.
+    The summary lists the services with a failed stage result; the engine
+    gives every service with a failed node a failed push result.
     """
-    all_events = sorted(events, key=_event_sort_key)
     threshold = config.notification.threshold
+    failed_stages = tuple(r for service in sorted(results)
+                          for r in results[service] if not r.success)
+    failed_nodes = tuple(sorted((replace(o, error=o.error or "transfer failed")
+                                 for pushed in outcomes.values() for o in pushed if not o.success),
+                                key=lambda o: (o.service, o.node)))
 
-    # Latest push error per (service, node): the later event overwrites.
-    last_error = {(e.service, e.node): e.message
-                  for e in sorted(all_events, key=lambda e: (e.occurred_at, e.message))
-                  if e.node is not None}
     due: dict[str, list[tuple[str, int, str]]] = {}
-    for (service, node), message in sorted(last_error.items()):
-        counter = counters.get((service, node))
+    for outcome in failed_nodes:
+        counter = counters.get((outcome.service, outcome.node))
         if counter is not None and notification_due(counter, threshold):
-            due.setdefault(service, []).append(
-                (node, counter.consecutive_failures, message))
+            due.setdefault(outcome.service, []).append(
+                (outcome.node, counter.consecutive_failures, outcome.error))
 
     batches: list[NotificationBatch] = []
     for service in sorted(due):
@@ -157,19 +143,20 @@ def aggregate(
             recipients=config.services[service].stakeholder_emails,
             subject=f"{SUBJECT_PREFIX} {service}: token distribution failures",
             body="",
-            node_failures=tuple(sorted(due[service])),
+            node_failures=tuple(due[service]),
             run_id=run_id,
             generated_at=now,
         )
         batches.append(replace(batch, body=render(batch)))
 
-    services_affected = len({e.service for e in all_events})
+    services_affected = len({r.service for r in failed_stages})
     summary = AdminSummary(
         recipients=config.notification.admin_recipients,
-        subject=(f"{SUBJECT_PREFIX} run {run_id}: {len(all_events)} failure(s) "
+        subject=(f"{SUBJECT_PREFIX} run {run_id}: {len(failed_stages)} failure(s) "
                  f"across {services_affected} service(s)"),
         body="",
-        events=tuple(all_events),
+        stages=failed_stages,
+        nodes=failed_nodes,
         run_id=run_id,
         generated_at=now,
     )
@@ -183,7 +170,7 @@ def dispatch(
     sink: NotificationSink,
     store: Store,
 ) -> int:
-    """Send every batch plus the admin summary (when non-empty).
+    """Send every batch plus the admin summary (when it lists a failed stage).
 
     A batch's due nodes are marked notified in ``store``, in one transaction,
     only once its send returns, so a failed send, or a batch without
@@ -191,15 +178,17 @@ def dispatch(
     logged and skipped, never raised: notification delivery must not take
     the run down. A batch whose watermark was not saved stays due, so it
     may be sent again next run: pages are at-least-once. The admin summary
-    goes out last, so its body also names every watermark not saved. Returns
-    the number of successful sends.
+    goes out last, so its body also names every batch that had no
+    recipients and every watermark not saved. Returns the number of
+    successful sends.
     """
     sent = 0
-    unsaved: list[str] = []
+    unsettled: list[str] = []
     for batch in batches:
         if not batch.recipients:
-            logger.warning("no stakeholder recipients for service=%s; batch not sent",
-                           batch.service)
+            unsettled.append(f"batch not sent service={batch.service}: "
+                             "no stakeholder_emails")
+            logger.warning("%s", unsettled[-1])
             continue
         try:
             sink.send(batch.recipients, batch.subject, batch.body)
@@ -212,14 +201,14 @@ def dispatch(
                 for node, _, _ in batch.node_failures:
                     store.mark_notified(batch.service, node)
         except Exception as exc:
-            unsaved.append(f"watermark not saved service={batch.service} "
-                           f"error={describe_error(exc)}")
-            logger.error("%s", unsaved[-1])
-    if summary is not None and summary.events:
+            unsettled.append(f"watermark not saved service={batch.service} "
+                             f"error={describe_error(exc)}")
+            logger.error("%s", unsettled[-1])
+    if summary is not None and summary.stages:
         if not summary.recipients:
             logger.warning("no admin recipients configured; run summary not sent")
         else:
-            body = "\n".join([summary.body, *unsaved, ""]) if unsaved else summary.body
+            body = "\n".join([summary.body, *unsettled, ""]) if unsettled else summary.body
             try:
                 sink.send(summary.recipients, summary.subject, body)
                 sent += 1

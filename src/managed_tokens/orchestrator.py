@@ -15,8 +15,8 @@ So a run holds ``transfer_parallelism + 2`` threads, plus the prepare pool
 while it drains, whatever the number of services or nodes. A stage failure
 stops that service's later stages and never touches other services. Once
 every stage has finished, every settled node's failure counter is saved in
-one store transaction, and then the notification threshold policy is
-applied to the counters that transaction wrote and to the run's ErrorEvents.
+one store transaction; notifications then read the counters it wrote and the
+stage results and push outcomes that the returned :class:`RunReport` holds.
 Metrics and spans are emitted at the end and never fail the run.
 
 Both runs, token push and UID refresh, open the state store the same way
@@ -41,11 +41,12 @@ from .config import (ConfigError, GlobalConfig, ResolvedService, UnknownService,
 from .credentials import TicketCache, VaultTokenFile
 from .distribution import PushOutcome, PushScheduler, ServicePush
 from .interfaces import AdapterBundle, describe_error
-from .notifications import STAGES, ErrorEvent
 from .registry import RefreshReport
 from .statestore import FailureCounter, Store, StoreError, open_store
 
 logger = logging.getLogger(__name__)
+
+STAGES = ("registry", "ticket", "vault_store", "push")
 
 
 class FatalSetupError(Exception):
@@ -98,7 +99,7 @@ def order_services(config: GlobalConfig, selection: Optional[Iterable[str]] = No
 class _Stages:
     """The stage handlers of one run. A service's stages run one after
     another, each on its own stage's thread, and each appends to that
-    service's results and to the run's events."""
+    service's results."""
 
     config: GlobalConfig
     deps: AdapterBundle
@@ -108,20 +109,13 @@ class _Stages:
     results: dict[str, list[StageResult]] = field(
         default_factory=lambda: collections.defaultdict(list))
     outcomes: dict[str, list[PushOutcome]] = field(default_factory=dict)
-    events: list[ErrorEvent] = field(default_factory=list)
 
     def record(self, name: str, stage: str, started: float, detail: str,
-               errors: Optional[Mapping[Optional[str], str]] = None) -> None:
-        """One stage's result. ``errors`` is None on success, else it maps
-        each failed node, or None for the whole service, to its error."""
+               success: bool = True) -> None:
         ended = max(self.deps.clock.now(), started)  # a wall clock may step back
-        self.results[name].append(
-            StageResult(name, stage, errors is None, started, ended, detail))
-        if errors is not None:
+        self.results[name].append(StageResult(name, stage, success, started, ended, detail))
+        if not success:
             logger.error("stage failed service=%s stage=%s error=%s", name, stage, detail)
-            self.events.extend([ErrorEvent(service=name, stage=stage, node=node,
-                                           message=error, occurred_at=ended)
-                                for node, error in errors.items()])
 
     def aborted(self, name: str, stage: str) -> bool:
         if self.cancel is None or not self.cancel.is_set():
@@ -141,8 +135,7 @@ class _Stages:
         try:
             result = call()
         except Exception as exc:
-            message = prefix + describe_error(exc)
-            self.record(name, stage, started, message, {None: message})
+            self.record(name, stage, started, prefix + describe_error(exc), success=False)
             return None
         self.record(name, stage, started, detail(result))
         return result
@@ -186,27 +179,21 @@ class _Stages:
             try:
                 pushes.add(svc, token)
             except Exception as exc:
-                # Raised by the push as a whole (destination paths that render
-                # equal, say), not by one node: report it against every node.
-                message = describe_error(exc)
-                self.record(svc.name, "push", started, message,
-                            dict.fromkeys(svc.nodes, message))
+                # Raised by the push as a whole: destination paths that render equal, say.
+                self.record(svc.name, "push", started, describe_error(exc), success=False)
 
     def pushed(self, push: ServicePush) -> None:
         name = push.svc.name
         outcomes = self.outcomes[name] = [push.settled[i] for i in sorted(push.settled)]
-        failed = {o.node: o.error or "transfer failed" for o in outcomes if not o.success}
-        if failed:
-            detail = "failed nodes: " + ", ".join(sorted(failed))
-        else:
-            detail, failed = f"{len(outcomes)} node(s)", None
-        self.record(name, "push", push.started, detail, failed)
+        failed = sorted(o.node for o in outcomes if not o.success)
+        detail = "failed nodes: " + ", ".join(failed) if failed else f"{len(outcomes)} node(s)"
+        self.record(name, "push", push.started, detail, success=not failed)
 
     def save_counters(self) -> dict[tuple[str, str], FailureCounter]:
         """Fold every settled node into its failure counter in one store
         transaction, and return the counters it wrote. If it raises, no
         counter changes, it returns ``{}``, and each service that pushed gets
-        one more failed push result, on each of its nodes."""
+        one more failed push result."""
         started = self.deps.clock.now()
         try:
             with self.store.transaction():
@@ -216,8 +203,7 @@ class _Stages:
         except Exception as exc:
             message = "failure counters not saved: " + describe_error(exc)
             for name in sorted(self.outcomes):
-                self.record(name, "push", started, message,
-                            {o.node: message for o in self.outcomes[name]})
+                self.record(name, "push", started, message, success=False)
             return {}
 
 
@@ -268,8 +254,8 @@ def run_token_push(
                         result = future.result()
                     except Exception as exc:  # a bug in the stage plumbing itself
                         logger.exception("pipeline crashed service=%s", svc.name)
-                        message = describe_error(exc)
-                        stages.record(svc.name, stage, clock.now(), message, {None: message})
+                        stages.record(svc.name, stage, clock.now(), describe_error(exc),
+                                      success=False)
                         continue
                     if isinstance(result, Future):
                         pending[result] = (svc, "vault_store")
@@ -280,7 +266,7 @@ def run_token_push(
         if not dry_run:
             counters = stages.save_counters()
             batches, summary = notifications.aggregate(
-                stages.events, counters, config, run_id, clock.now())
+                stages.results, stages.outcomes, counters, config, run_id, clock.now())
             sent = notifications.dispatch(batches, summary, deps.sink, store)
     finally:
         store.close()

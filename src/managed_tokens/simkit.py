@@ -277,15 +277,13 @@ class ScriptedRunner:
             raise CommandTimeout(argv, timeout if timeout is not None else 0.0)
 
         if behavior.kind == "fail":
-            end = self.clock.now()
-            self.log.append(argv, start, end, "fail")
-            return Invocation(argv, env, 1, "", behavior.message, start, end)
+            self.log.append(argv, start, self.clock.now(), "fail")
+            return Invocation(argv, 1, "", behavior.message)
 
         if self.side_effects is not None:
             self.side_effects(index, argv, env)
-        end = self.clock.now()
-        self.log.append(argv, start, end, "ok")
-        return Invocation(argv, env, 0, "ok", "", start, end)
+        self.log.append(argv, start, self.clock.now(), "ok")
+        return Invocation(argv, 0, "ok", "")
 
 
 scripted_runner = ScriptedRunner

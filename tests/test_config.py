@@ -644,6 +644,9 @@ MESSAGE_ROWS = [
     row("destinations-equal", {"destination_templates": {"user": "{tmp_dir}/t",
                                                          "role": "{tmp_dir}/t"}},
         "config.destination_templates: user and role templates must differ"),
+    row("oidc-regex-unbalanced", {"oidc_prompt_regex": "(oidc"},
+        "config.oidc_prompt_regex: cannot compile '(oidc': "
+        "missing ), unterminated subpattern at position 0"),
     row("endpoint-no-account", {"registry/uid_endpoint_template": "/users"},
         "config.registry.uid_endpoint_template: must contain exactly one {account} placeholder"),
     row("endpoint-two-accounts", {"registry/uid_endpoint_template": "/u/{account}/{account}"},
@@ -676,6 +679,9 @@ MESSAGE_ROWS = [
     row("override-transfer-command",
         {OVR: {"commands.transfer": "scp {local} {node}:{remote}"}},
         "config.services.svc.overrides.commands.transfer: not an overridable field"),
+    row("override-oidc-regex", {OVR: {"oidc_prompt_regex": "[oidc"}},
+        "config.services.svc.overrides.oidc_prompt_regex: cannot compile '[oidc': "
+        "unterminated character set at position 0"),
     row("override-bad-bool", {OVR: {"token_prefix_check": "no"}},
         "config.services.svc.overrides.token_prefix_check: expected a boolean (true or false)"),
     row("override-breaks-lifetimes", {OVR: {"token_lifetimes.vault_local": "30d"}},

@@ -201,8 +201,7 @@ class TestStoreVaultTokens:
 
         class PromptingRunner:
             def run(self, argv, env_overrides=None, timeout=None):
-                return Invocation(tuple(argv), dict(env_overrides or {}), 0,
-                                  prompt, "", 0.0, 0.0)
+                return Invocation(tuple(argv), 0, prompt, "")
 
         with pytest.raises(InteractiveAuthRequired) as err:
             store_vault_tokens(svc, 4521, make_ticket(svc), PromptingRunner())
@@ -215,8 +214,7 @@ class TestStoreVaultTokens:
 
         class FailingPromptRunner:
             def run(self, argv, env_overrides=None, timeout=None):
-                return Invocation(tuple(argv), dict(env_overrides or {}), 1,
-                                  "", prompt, 0.0, 0.0)
+                return Invocation(tuple(argv), 1, "", prompt)
 
         with pytest.raises(InteractiveAuthRequired):
             store_vault_tokens(svc, 4521, make_ticket(svc), FailingPromptRunner())

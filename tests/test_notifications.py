@@ -1,4 +1,4 @@
-"""Event aggregation, threshold gating, and notification delivery."""
+"""Aggregation of a run's record, threshold gating, and notification delivery."""
 
 from __future__ import annotations
 
@@ -9,28 +9,44 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from managed_tokens import simkit
+from managed_tokens.distribution import PushOutcome
 from managed_tokens.notifications import (
     AdminSummary,
-    ErrorEvent,
     aggregate,
     dispatch,
     render,
     render_admin_summary,
 )
+from managed_tokens.orchestrator import StageResult
 from managed_tokens.statestore import FailureCounter, open_store
 
 from conftest import ReferenceCounter
 
 
-def push_event(service="dune_production", node="submit1.example.org",
-               message="no route to host", at=100.0) -> ErrorEvent:
-    return ErrorEvent(service=service, stage="push", message=message,
-                      occurred_at=at, node=node)
+def push_failure(service="dune_production", node="submit1.example.org",
+                 error="no route to host") -> PushOutcome:
+    return PushOutcome(service=service, node=node, success=False, attempts=3, error=error)
 
 
-def stage_event(service="dune_production", stage="ticket",
-                message="kinit failed", at=100.0) -> ErrorEvent:
-    return ErrorEvent(service=service, stage=stage, message=message, occurred_at=at)
+def stage_failure(service="dune_production", stage="ticket",
+                  detail="kinit failed") -> StageResult:
+    return StageResult(service, stage, False, 100.0, 100.0, detail)
+
+
+def run_record(*failures):
+    """The stage results and push outcomes, by service, of a run with these
+    failures. A service with a failed node also gets the failed push result
+    the engine records for it."""
+    results: dict[str, list[StageResult]] = {}
+    outcomes: dict[str, list[PushOutcome]] = {}
+    for failure in failures:
+        by_service = outcomes if isinstance(failure, PushOutcome) else results
+        by_service.setdefault(failure.service, []).append(failure)
+    for service, failed in outcomes.items():
+        nodes = ", ".join(sorted(o.node for o in failed))
+        results.setdefault(service, []).append(
+            stage_failure(service, "push", "failed nodes: " + nodes))
+    return results, outcomes
 
 
 def seed_failures(store, service, node, count, success_first=False):
@@ -38,26 +54,6 @@ def seed_failures(store, service, node, count, success_first=False):
         store.record_push_outcome(service, node, True, now=0.0)
     for i in range(count):
         store.record_push_outcome(service, node, False, now=float(i + 1))
-
-
-class TestErrorEvent:
-    def test_push_requires_node(self):
-        with pytest.raises(ValueError, match="node"):
-            ErrorEvent("svc", "push", "m", 0.0)
-
-    @pytest.mark.parametrize("stage", ["registry", "ticket", "vault_store"])
-    def test_non_push_forbids_node(self, stage):
-        with pytest.raises(ValueError, match="node"):
-            ErrorEvent("svc", stage, "m", 0.0, node="n")
-
-    def test_unknown_stage(self):
-        with pytest.raises(ValueError, match="stage"):
-            ErrorEvent("svc", "teleport", "m", 0.0)
-
-    def test_valid_forms(self):
-        push_event()
-        stage_event(stage="registry")
-        stage_event(stage="vault_store")
 
 
 KEY = ("dune_production", "submit1.example.org")
@@ -82,22 +78,26 @@ class TestAggregate:
 
     def test_no_events_no_output(self):
         cfg = self.make_config(dune_production={})
-        batches, summary = aggregate([], {}, cfg, "r1", now=500.0)
+        ticket = StageResult("dune_production", "ticket", True, 100.0, 100.0)
+        pushed = PushOutcome("dune_production", "submit1.example.org", True, 1)
+        batches, summary = aggregate({"dune_production": [ticket]},
+                                     {"dune_production": [pushed]}, {}, cfg, "r1", now=500.0)
         assert batches == []
-        assert summary.events == ()
+        assert (summary.stages, summary.nodes) == ((), ())
 
     def test_below_threshold_reaches_only_the_admin_summary(self):
         cfg = self.make_config(dune_production={})
-        batches, summary = aggregate([push_event()], streak(2), cfg, "r1", 500.0)
+        batches, summary = aggregate(*run_record(push_failure()), streak(2), cfg, "r1", 500.0)
         assert batches == []
-        assert summary.events == (push_event(),)
+        assert summary.nodes == (push_failure(),)
 
     def test_batch_at_threshold(self):
         cfg = self.make_config(dune_production={})
+        record = run_record(push_failure())
         with open_store(str(self.site.state_dir)) as store:
             seed_failures(store, "dune_production", "submit1.example.org", 3)
             saved = {KEY: store.get_counter(*KEY)}
-            batches, summary = aggregate([push_event()], saved, cfg, "r1", 500.0)
+            batches, summary = aggregate(*record, saved, cfg, "r1", 500.0)
             (batch,) = batches
             assert batch.subject == ("[managed-tokens] dune_production: "
                                      "token distribution failures")
@@ -107,41 +107,41 @@ class TestAggregate:
             assert "3 consecutive failed distribution attempts" in batch.body
             assert batch.body == render(batch)
             # Aggregating writes nothing: the batch stays due until it is sent.
-            again, _ = aggregate([push_event()], {KEY: store.get_counter(*KEY)},
+            again, _ = aggregate(*record, {KEY: store.get_counter(*KEY)},
                                  cfg, "r1", 500.0)
             assert again == batches
             # Sending advanced the watermark: aggregating again stays quiet.
             assert dispatch(batches, None, simkit.RecordingSink(), store) == 1
             after = store.get_counter(*KEY)
             assert after.last_notified_count == 3
-            again, _ = aggregate([push_event()], {KEY: after}, cfg, "r1", 500.0)
+            again, _ = aggregate(*record, {KEY: after}, cfg, "r1", 500.0)
             assert again == []
 
     def test_non_push_failures_never_page_stakeholders(self):
         cfg = self.make_config(dune_production={})
         batches, summary = aggregate(
-            [stage_event(stage="ticket"), stage_event(stage="vault_store",
-                                                      message="storer died")],
+            *run_record(stage_failure(stage="ticket"),
+                        stage_failure(stage="vault_store", detail="storer died")),
             streak(5), cfg, "r1", 500.0)
         assert batches == []
-        assert len(summary.events) == 2
+        assert len(summary.stages) == 2
 
     def test_stale_counter_without_a_fresh_event_stays_quiet(self):
         cfg = self.make_config(dune_production={})
-        batches, _ = aggregate([], streak(5), cfg, "r1", 500.0)
+        batches, _ = aggregate({}, {}, streak(5), cfg, "r1", 500.0)
         assert batches == []
 
     def test_two_services_two_batches_disjoint_recipients(self):
         cfg = self.make_config(
             dune_production={}, mu2e_production={})
-        events = [push_event(), push_event(service="mu2e_production",
-                                           node="submit2.example.org",
-                                           message="disk full")]
+        record = run_record(push_failure(), push_failure(service="mu2e_production",
+                                                         node="submit2.example.org",
+                                                         error="disk full"))
         # mu2e was acknowledged at 4; one more failure is below threshold.
         saved = {**streak(3),
                  **streak(5, notified=4, service="mu2e_production",
                           node="submit2.example.org")}
-        batches, _ = aggregate(events, saved, cfg, "r1", 500.0)
+        batches, _ = aggregate(*record, saved, cfg, "r1", 500.0)
         assert [b.service for b in batches] == ["dune_production"]
 
         # Reference replay of the same history agrees.
@@ -161,8 +161,8 @@ class TestAggregate:
             ("mu2e_production", "submit1.example.org"): [False, True, False],
             ("nova_production", "submit2.example.org"): [False] * 6,
         }
-        events = [push_event(service=s, node=n, message="down")
-                  for (s, n) in histories]
+        record = run_record(*(push_failure(service=s, node=n, error="down")
+                              for (s, n) in histories))
         saved = {}
         expected_due = set()
         for (service, node), outcomes in histories.items():
@@ -172,49 +172,70 @@ class TestAggregate:
             saved.update(streak(reference.streak, reference.watermark, service, node))
             if reference.due(3):
                 expected_due.add(service)
-        batches, _ = aggregate(events, saved, cfg, "r1", 500.0)
+        batches, _ = aggregate(*record, saved, cfg, "r1", 500.0)
         assert {b.service for b in batches} == expected_due
 
     def test_summary_lists_every_event_exactly_once(self):
         cfg = self.make_config(dune_production={}, mu2e_production={})
-        events = [
-            stage_event(),
-            stage_event(service="mu2e_production", stage="registry",
-                        message="registry returned HTTP 500"),
-            push_event(),
-        ]
-        _, summary = aggregate(events, streak(1), cfg, "r7", 500.0)
-        assert sorted(summary.events, key=str) == sorted(events, key=str)
+        results, outcomes = run_record(
+            stage_failure(service="mu2e_production", stage="registry",
+                          detail="registry returned HTTP 500"),
+            push_failure(),
+        )
+        results["dune_production"].append(stage_failure(
+            stage="push", detail="failure counters not saved: StoreError: disk full"))
+        _, summary = aggregate(results, outcomes, {}, cfg, "r7", 500.0)
+        assert summary.stages == (*results["dune_production"], *results["mu2e_production"])
+        assert summary.nodes == (push_failure(),)
         assert summary.subject == ("[managed-tokens] run r7: 3 failure(s) "
                                    "across 2 service(s)")
-        assert summary.body.count("registry returned HTTP 500") == 1
+        assert summary.body == (
+            "run: r7\n"
+            "generated: 1970-01-01T00:08:20Z\n"
+            "\n"
+            "3 failure(s) this run:\n"
+            "\n"
+            "dune_production:\n"
+            "  - [push] failed nodes: submit1.example.org\n"
+            "  - [push] failure counters not saved: StoreError: disk full\n"
+            "  - [push] node=submit1.example.org no route to host\n"
+            "mu2e_production:\n"
+            "  - [registry] registry returned HTTP 500\n")
         assert summary.body == render_admin_summary(summary)
 
     def test_order_insensitive(self):
         cfg = self.make_config(dune_production={}, mu2e_production={})
-        saved = {**streak(3), **streak(3, service="mu2e_production",
-                                        node="submit2.example.org")}
-        events = [
-            push_event(at=10.0, message="err-a"),
-            push_event(at=12.0, message="err-b"),
-            stage_event(service="mu2e_production"),
-            push_event(service="mu2e_production", node="submit2.example.org",
-                       message="err-c", at=11.0),
+        saved = {**streak(3), **streak(3, node="submit3.example.org"),
+                 **streak(3, service="mu2e_production", node="submit2.example.org")}
+        failures = [
+            push_failure(error="err-a"),
+            push_failure(node="submit3.example.org", error="err-b"),
+            push_failure(service="mu2e_production", node="submit2.example.org",
+                         error="err-c"),
         ]
         rendered = set()
-        for permutation in itertools.permutations(events):
-            batches, summary = aggregate(list(permutation), saved, cfg, "r1", 500.0)
+        for permutation in itertools.permutations(failures):
+            batches, summary = aggregate(*run_record(*permutation), saved, cfg, "r1", 500.0)
             rendered.add((tuple((b.subject, b.body, b.recipients)
                                 for b in batches), summary.body))
         (only,) = rendered
         assert len(only[0]) == 2  # both services paged, whatever the order
 
-    def test_latest_event_message_wins_in_the_batch(self):
+    def test_push_wide_failure_is_listed_once_and_pages_nobody(self):
         cfg = self.make_config(dune_production={})
-        events = [push_event(at=20.0, message="newest error"),
-                  push_event(at=10.0, message="older error")]
-        (batch,), _ = aggregate(events, streak(3), cfg, "r1", 500.0)
-        assert batch.node_failures[0][2] == "newest error"
+        failed = stage_failure(stage="push",
+                               detail="ValueError: destination paths must be distinct")
+        batches, summary = aggregate(*run_record(failed), streak(5), cfg, "r1", 500.0)
+        assert batches == []
+        assert summary.subject.endswith("1 failure(s) across 1 service(s)")
+        assert summary.body.count("ValueError") == 1
+
+    def test_empty_outcome_error_reads_transfer_failed(self):
+        cfg = self.make_config(dune_production={})
+        (batch,), summary = aggregate(*run_record(push_failure(error=None)), streak(3),
+                                      cfg, "r1", 500.0)
+        assert batch.node_failures[0][2] == "transfer failed"
+        assert "  - [push] node=submit1.example.org transfer failed\n" in summary.body
 
 
 class TestDispatch:
@@ -236,7 +257,7 @@ class TestDispatch:
         sink = simkit.RecordingSink()
         batches = [self.batch(), self.batch("mu2e_production",
                                             ("mu2e-admins@example.org",))]
-        summary = make_summary(events=(stage_event(),))
+        summary = make_summary(stages=(stage_failure(),))
         sent = dispatch(batches, summary, sink, store)
         assert sent == 3
         assert [m.recipients for m in sink.messages] == [
@@ -247,7 +268,7 @@ class TestDispatch:
 
     def test_empty_event_summary_not_sent(self, store):
         sink = simkit.RecordingSink()
-        assert dispatch([], make_summary(events=()), sink, store) == 0
+        assert dispatch([], make_summary(stages=()), sink, store) == 0
         assert sink.messages == []
 
     def test_missing_recipients_skipped(self, store):
@@ -258,6 +279,17 @@ class TestDispatch:
         assert sink.messages == []
         assert self.watermark(store, "dune_production") == 0  # still due
 
+    def test_batch_without_recipients_is_named_in_the_summary(self, store):
+        seed_failures(store, "dune_production", self.NODE, 3)
+        sink = simkit.RecordingSink()
+        summary = make_summary(stages=(stage_failure(),))
+        assert dispatch([self.batch(recipients=())], summary, sink, store) == 1
+        (message,) = sink.messages
+        assert message.body == ("body\n\n"
+                                "batch not sent service=dune_production: "
+                                "no stakeholder_emails\n")
+        assert self.watermark(store, "dune_production") == 0  # still due
+
     def test_sink_failure_does_not_stop_later_sends(self, store):
         seed_failures(store, "dune_production", self.NODE, 3)
         seed_failures(store, "mu2e_production", self.NODE, 3)
@@ -266,7 +298,7 @@ class TestDispatch:
                      simkit.succeed())))
         batches = [self.batch(), self.batch("mu2e_production",
                                             ("mu2e-admins@example.org",))]
-        sent = dispatch(batches, make_summary(events=(stage_event(),)), sink, store)
+        sent = dispatch(batches, make_summary(stages=(stage_failure(),)), sink, store)
         assert sent == 2
         assert [m.recipients[0] for m in sink.messages] == [
             "mu2e-admins@example.org", "ops@example.org"]
@@ -284,10 +316,10 @@ def aggregate_free_batch(service, recipients):
         run_id="r1", generated_at=500.0)
 
 
-def make_summary(events):
+def make_summary(stages):
     return AdminSummary(recipients=("ops@example.org",),
                         subject="[managed-tokens] run r1: summary",
-                        body="body\n", events=events, run_id="r1",
+                        body="body\n", stages=stages, nodes=(), run_id="r1",
                         generated_at=500.0)
 
 

@@ -338,7 +338,7 @@ class TestFailureIsolation:
         assert all(o.success for o in report.push_outcomes)
         assert len(bundle.transfer.log.entries()) == 8
         (summary,) = bundle.sink.messages
-        assert summary.body.count("failure counters not saved") == 4  # one per node
+        assert summary.body.count("failure counters not saved") == 2  # one per service
 
     def test_non_transfer_error_counts_against_only_that_node(self, site):
         site.add_service("dune_production",
@@ -489,8 +489,12 @@ class TestGracefulShutdown:
             assert not only.success
             assert only.started == only.ended
         assert ticket_log(bundle).entries() == ()
-        assert report.notifications_sent == 0
-        assert bundle.sink.messages == []
+        assert report.notifications_sent == 1  # the admin summary only
+        (summary,) = bundle.sink.messages
+        assert summary.recipients == ("ops@example.org",)
+        assert "2 failure(s) across 2 service(s)" in summary.subject
+        for name in ("a_svc", "b_svc"):
+            assert f"{name}:\n  - [ticket] aborted: shutdown requested\n" in summary.body
         aborts = [r for r in caplog.records if "aborted" in r.message]
         assert aborts and all(r.levelname == "WARNING" for r in aborts)
 
@@ -607,7 +611,7 @@ class TestNotificationsWiring:
         assert report.notifications_sent == 1  # the admin summary only
         (summary,) = bundle.sink.messages
         assert summary.recipients == ("ops@example.org",)
-        assert summary.body.count("failure counters not saved") == 2  # one per node
+        assert summary.body.count("failure counters not saved") == 1  # one per service
         monkeypatch.undo()
         with open_store(cfg.state_dir) as store:
             counter = store.get_counter("dune_production", "submit2.example.org")
@@ -652,6 +656,45 @@ class TestNotificationsWiring:
         assert unsaved in bundle.sink.messages[-1].body
         monkeypatch.undo()
         # Still due, so the next run pages again: delivery is at-least-once.
+        with open_store(cfg.state_dir) as store:
+            counter = store.get_counter("dune_production", "submit2.example.org")
+        assert (counter.consecutive_failures, counter.last_notified_count) == (1, 0)
+
+    def test_push_wide_error_is_listed_once(self, site):
+        # Distinct templates that render to the same path fail the push as a
+        # whole, before any node is tried.
+        site.add_service("dune_production", overrides={
+            "destination_templates.user": f"{site.tmp_dir}/{{role}}",
+            "destination_templates.role": f"{site.tmp_dir}/production"})
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+        bundle = make_bundle()
+        report = run_token_push(cfg, bundle)
+        push_result = report.per_service["dune_production"][-1]
+        assert push_result.stage == "push" and not push_result.success
+        assert push_result.detail == "ValueError: destination paths must be distinct"
+        assert report.push_outcomes == ()
+        (summary,) = bundle.sink.messages
+        assert "1 failure(s) across 1 service(s)" in summary.subject
+        assert summary.body.count("ValueError") == 1
+
+    def test_batch_without_recipients_is_named_in_the_summary(self, site, caplog):
+        site.add_service("dune_production", stakeholder_emails=(),
+                         overrides={"retry.base_backoff": "1ms",
+                                    "retry.max_attempts": 2})
+        cfg = site.config(notification={"admin_recipients": ["ops@example.org"],
+                                        "threshold": 1})
+        site.seed_uids(site.uid_map())
+        faults = {"submit2.example.org": simkit.FaultSchedule(
+            "t", (simkit.fail("no route to host"),))}
+        bundle = make_bundle(transfer_faults=faults)
+        with caplog.at_level("WARNING", logger="managed_tokens"):
+            report = run_token_push(cfg, bundle)
+        assert report.notifications_sent == 1  # the admin summary only
+        (summary,) = bundle.sink.messages
+        unsent = "batch not sent service=dune_production: no stakeholder_emails"
+        assert unsent in summary.body
+        assert unsent in caplog.text
         with open_store(cfg.state_dir) as store:
             counter = store.get_counter("dune_production", "submit2.example.org")
         assert (counter.consecutive_failures, counter.last_notified_count) == (1, 0)

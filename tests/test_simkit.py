@@ -133,7 +133,8 @@ class TestScriptedRunner:
             simkit.FaultSchedule("t", (simkit.delay(5.0),)), clock=clock)
         inv = runner.run(["cmd"])
         assert inv.exit_code == 0
-        assert inv.ended - inv.started == 5.0
+        (entry,) = runner.log.entries()
+        assert entry.end - entry.start == 5.0
 
     def test_side_effects_fire_on_success_only(self):
         fired = []
