@@ -252,25 +252,32 @@ def _rule(ok: Callable[[Any], Any], problem: str,
 
 _str = _rule(lambda value: isinstance(value, str) and value != "", "expected a non-empty string")
 _bool = _rule(lambda value: isinstance(value, bool), "expected a boolean (true or false)")
+_absolute = _rule(os.path.isabs, "must be an absolute path", _str)
 
 
-def _template(placeholders: tuple[str, ...], command: bool = False) -> _Check:
+def _template(placeholders: tuple[str, ...], command: bool = False,
+              absolute: bool = False) -> _Check:
     """A template that renders from ``placeholders`` alone (``uid`` is an
-    integer, the rest strings); a command template must also split into
-    words with shell quoting rules, as its renderer splits it."""
+    integer, ``tmp_dir`` an absolute path, the rest strings); a command
+    template must also split into words with shell quoting rules, as its
+    renderer splits it, and a path template must render an absolute path."""
     sample = {name: 0 if name == "uid" else name for name in placeholders}
+    if "tmp_dir" in sample:
+        sample["tmp_dir"] = "/tmp"
 
     def check(value: Any, path: str) -> str:
         value = _str(value, path)
         try:
             for word in shlex.split(value) if command else (value,):
-                word.format(**sample)
+                rendered = word.format(**sample)
         except KeyError as exc:
             allowed = " ".join(f"{{{name}}}" for name in placeholders)
             raise ValidationError(f"{path}: unknown placeholder {{{exc.args[0]}}} "
                                   f"(allowed: {allowed})") from None
         except (ValueError, IndexError, AttributeError) as exc:
             raise ValidationError(f"{path}: cannot render {value!r}: {exc}") from None
+        if absolute and not os.path.isabs(rendered):
+            raise ValidationError(f"{path}: {value!r} must render an absolute path")
         return value
     return check
 
@@ -344,19 +351,20 @@ def _overrides(value: Any, path: str) -> dict[str, Any]:
 
 
 _CHECKS: dict[tuple[type, str], _Check] = {
-    (GlobalConfig, "state_dir"): _rule(os.path.isabs, "must be an absolute path", _str),
+    (GlobalConfig, "state_dir"): _absolute,
+    (GlobalConfig, "tmp_dir"): _absolute,
     (GlobalConfig, "metrics_gateway_url"): _optional(
         _rule(re.compile(r"^https?://").match, "must be an http(s) URL", _str)),
     (GlobalConfig, "adapter_mode"): _rule(lambda mode: mode in ("real", "simulation"),
                                           "must be 'real' or 'simulation'"),
     (GlobalConfig, "services"): _services,
-    (GlobalConfig, "default_token_path"): _template(TOKEN_PATH_PLACEHOLDERS),
+    (GlobalConfig, "default_token_path"): _template(TOKEN_PATH_PLACEHOLDERS, absolute=True),
     (GlobalConfig, "oidc_prompt_regex"): _regex,
     (CommandTemplates, "ticket"): _template(TICKET_PLACEHOLDERS, command=True),
     (CommandTemplates, "storer"): _template(STORER_PLACEHOLDERS, command=True),
     (CommandTemplates, "transfer"): _template(TRANSFER_PLACEHOLDERS, command=True),
-    (DestinationTemplates, "user"): _template(DESTINATION_PLACEHOLDERS),
-    (DestinationTemplates, "role"): _template(DESTINATION_PLACEHOLDERS),
+    (DestinationTemplates, "user"): _template(DESTINATION_PLACEHOLDERS, absolute=True),
+    (DestinationTemplates, "role"): _template(DESTINATION_PLACEHOLDERS, absolute=True),
     (RegistryConfig, "uid_endpoint_template"): _rule(
         lambda template: template.count("{account}") == 1,
         "must contain exactly one {account} placeholder", _template(UID_ENDPOINT_PLACEHOLDERS)),

@@ -22,7 +22,6 @@ import collections
 import heapq
 import itertools
 import logging
-import os.path
 import random
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -59,8 +58,6 @@ def compute_destinations(svc: ResolvedService, uid: int) -> tuple[str, str]:
              svc.destination_templates.role.format(**values))
     if paths[0] == paths[1]:
         raise ValueError("destination paths must be distinct")
-    if not all(os.path.isabs(p) for p in paths):
-        raise ValueError("destination paths must be absolute")
     return paths
 
 
@@ -125,13 +122,12 @@ class PushScheduler:
         return bool(self._open or self._finished)
 
     def add(self, svc: ResolvedService, token: VaultTokenFile) -> None:
-        """Queue every node of ``svc``. Paths that render equal or relative
-        raise ``ValueError`` before any copy; the token itself was checked
-        when it was staged."""
-        push = ServicePush(svc, token, compute_destinations(svc, token.uid),
-                           self._clock.now(), [0] * len(svc.nodes),
-                           collections.deque(range(len(svc.nodes))))
-        (self._open if svc.nodes else self._finished).append(push)
+        """Queue every node of ``svc``. Paths that render equal raise
+        ``ValueError`` before any copy; the token itself was checked when it
+        was staged."""
+        self._open.append(ServicePush(svc, token, compute_destinations(svc, token.uid),
+                                      self._clock.now(), [0] * len(svc.nodes),
+                                      collections.deque(range(len(svc.nodes)))))
 
     def step(self, others: Collection[Future] = ()) -> tuple[list[ServicePush], set[Future]]:
         """Start what may start, then wait until an attempt or one of
@@ -185,7 +181,7 @@ class PushScheduler:
         error = None
         if exc is not None:
             retryable = isinstance(exc, TransferError)
-            error = str(exc) if retryable else describe_error(exc)
+            error = (str(exc) or "transfer failed") if retryable else describe_error(exc)
             logger.warning("transfer attempt failed service=%s node=%s attempt=%d error=%s",
                            push.svc.name, push.svc.nodes[i], push.attempts[i], error)
             if retryable and push.attempts[i] < push.svc.retry.max_attempts:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Protocol, runtime_checkable
+from typing import Mapping, Optional, Protocol
 
 
 class TransportError(Exception):
@@ -55,7 +55,6 @@ class Invocation:
     stderr: str
 
 
-@runtime_checkable
 class Clock(Protocol):
     def now(self) -> float:
         """Seconds since the epoch."""
@@ -83,7 +82,6 @@ class SystemClock:
             time.sleep(seconds)
 
 
-@runtime_checkable
 class CommandRunner(Protocol):
     """Runs an external command and reports its outcome.
 
@@ -100,7 +98,6 @@ class CommandRunner(Protocol):
         ...
 
 
-@runtime_checkable
 class TransferAdapter(Protocol):
     """Copies a local file to a path on a remote node.
 
@@ -119,7 +116,6 @@ class TransferAdapter(Protocol):
         ...
 
 
-@runtime_checkable
 class HttpAdapter(Protocol):
     """Minimal HTTP client: returns (status, body) or raises TransportError."""
 
@@ -134,7 +130,6 @@ class HttpAdapter(Protocol):
         ...
 
 
-@runtime_checkable
 class NotificationSink(Protocol):
     """Delivers one rendered message to a list of recipients."""
 

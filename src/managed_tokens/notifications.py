@@ -125,9 +125,8 @@ def aggregate(
     threshold = config.notification.threshold
     failed_stages = tuple(r for service in sorted(results)
                           for r in results[service] if not r.success)
-    failed_nodes = tuple(sorted((replace(o, error=o.error or "transfer failed")
-                                 for pushed in outcomes.values() for o in pushed if not o.success),
-                                key=lambda o: (o.service, o.node)))
+    failed_nodes = tuple(sorted((o for pushed in outcomes.values() for o in pushed
+                                 if not o.success), key=lambda o: (o.service, o.node)))
 
     due: dict[str, list[tuple[str, int, str]]] = {}
     for outcome in failed_nodes:

@@ -15,7 +15,6 @@ import json
 import logging
 import logging.handlers
 import os
-import re
 import sys
 import urllib.parse
 import uuid
@@ -32,14 +31,6 @@ logger = logging.getLogger(__name__)
 METRIC_PREFIX = "managed_tokens_"
 PUSH_JOB = "managed_tokens"
 REFRESH_JOB = "managed_tokens_uid_refresh"
-
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-
-class InvalidName(Exception):
-    """A metric or label name does not match the exposition-format grammar."""
-
 
 @dataclass(frozen=True)
 class MetricSample:
@@ -75,13 +66,11 @@ def report_to_metrics(report: "RunReport") -> list[MetricSample]:
                                    len(results) - successes))
             samples.append(gauge(METRIC_PREFIX + "stage_duration_seconds", labels,
                                  sum(r.ended - r.started for r in results)))
-    push_failures: dict[tuple[str, str], int] = {}
-    for outcome in report.push_outcomes:
-        key = (outcome.service, outcome.node)
-        push_failures[key] = push_failures.get(key, 0) + (0 if outcome.success else 1)
-    for (service, node), failures in sorted(push_failures.items()):
+    # A run settles each node once, so each outcome is one node's sample.
+    for outcome in sorted(report.push_outcomes, key=lambda o: (o.service, o.node)):
         samples.append(counter(METRIC_PREFIX + "push_failures_total",
-                               {"service": service, "node": node}, failures))
+                               {"service": outcome.service, "node": outcome.node},
+                               0 if outcome.success else 1))
     return samples
 
 
@@ -99,22 +88,12 @@ def render_exposition(samples: Iterable[MetricSample]) -> str:
     """Render samples in the text exposition format, deterministically
     ordered (metric name, then sorted label sets), one TYPE line per metric."""
     by_name: dict[str, list[MetricSample]] = {}
-    kinds: dict[str, str] = {}
     for sample in samples:
-        if not _NAME_RE.match(sample.name):
-            raise InvalidName(f"invalid metric name {sample.name!r}")
-        for label in sample.labels:
-            if not _LABEL_RE.match(label):
-                raise InvalidName(f"invalid label name {label!r} on {sample.name}")
-        if sample.kind not in ("counter", "gauge"):
-            raise InvalidName(f"invalid metric kind {sample.kind!r} for {sample.name}")
-        if kinds.setdefault(sample.name, sample.kind) != sample.kind:
-            raise InvalidName(f"metric {sample.name} declared with conflicting kinds")
         by_name.setdefault(sample.name, []).append(sample)
 
     lines: list[str] = []
     for name in sorted(by_name):
-        lines.append(f"# TYPE {name} {kinds[name]}")
+        lines.append(f"# TYPE {name} {by_name[name][0].kind}")
         rendered = []
         for sample in by_name[name]:
             items = sorted(sample.labels.items())
@@ -194,8 +173,6 @@ def record_span(
     attributes: Optional[Mapping[str, str]] = None,
 ) -> SpanRecord:
     """Build one immutable span; ids are inherited from the parent's trace."""
-    if end < start:
-        raise ValueError("span end must be >= start")
     return SpanRecord(
         trace_id=parent.trace_id if parent else new_trace_id(),
         span_id=new_span_id(),

@@ -152,8 +152,6 @@ class Store:
     # -- UID records ---------------------------------------------------------
 
     def upsert_uid(self, account: str, uid: int, now: float) -> None:
-        if uid < 0:
-            raise ValueError("uid must be >= 0")
         with self._mutex:
             self._conn.execute(
                 "INSERT INTO uids (account, uid, fetched_at) VALUES (?, ?, ?)"

@@ -249,6 +249,13 @@ class TestFormatReport:
         assert "a_svc: no stages ran" in text
         assert "1 service(s), 0 with failures" in text
 
+    def test_empty_transfer_error_reads_transfer_failed(self, sim_site, capsys):
+        faults = {"transfer:submit2.example.org": {"pattern": [{"fail": ""}]}}
+        config = sim_config(sim_site, fault_schedules=faults, retry={"max_attempts": 1})
+        assert main_token_push(["--config", config]) == EXIT_PARTIAL
+        out = capsys.readouterr().out
+        assert "@ submit2.example.org: transfer failed (after 1 attempt(s))" in out
+
     def test_exit_codes_stay_in_contract(self, sim_site):
         # Every path through the CLI returns one of the three documented codes.
         outcomes = {

@@ -594,6 +594,7 @@ MESSAGE_ROWS = [
     # Field rules that differ from the field's type.
     row("state_dir-relative", {"state_dir": "relative/path"},
         "config.state_dir: must be an absolute path"),
+    row("tmp_dir-relative", {"tmp_dir": "tmp"}, "config.tmp_dir: must be an absolute path"),
     row("gateway-ftp", {"metrics_gateway_url": "ftp://gw.example.org"},
         "config.metrics_gateway_url: must be an http(s) URL"),
     row("gateway-empty", {"metrics_gateway_url": ""},
@@ -607,7 +608,7 @@ MESSAGE_ROWS = [
         "config.simulation.registry_uids.duneprod: must be >= 0"),
     row("registry_uid-string", {"simulation/registry_uids": {"duneprod": "5000"}},
         "config.simulation.registry_uids.duneprod: expected an integer"),
-    # Templates: only the placeholders their renderer supplies.
+    # Templates: only the placeholders their renderer supplies; a path renders absolute.
     row("default_token_path-unknown-placeholder",
         {"default_token_path": "{tmp_dir}/vt_{account}"},
         "config.default_token_path: unknown placeholder {account} (allowed: {tmp_dir} {uid})"),
@@ -632,6 +633,11 @@ MESSAGE_ROWS = [
     row("destination-user-positional", {"destination_templates/user": "{tmp_dir}/vt_{}"},
         "config.destination_templates.user: cannot render '{tmp_dir}/vt_{}': "
         "Replacement index 0 out of range for positional args tuple"),
+    row("default_token_path-relative", {"default_token_path": "tmp/vt_u{uid}"},
+        "config.default_token_path: 'tmp/vt_u{uid}' must render an absolute path"),
+    row("destination-role-relative", {"destination_templates/role": "tokens/{account}.{role}"},
+        "config.destination_templates.role: 'tokens/{account}.{role}' "
+        "must render an absolute path"),
     row("endpoint-unknown-placeholder",
         {"registry/uid_endpoint_template": "/users?name={account}&site={site}"},
         "config.registry.uid_endpoint_template: unknown placeholder {site} "
@@ -664,6 +670,11 @@ MESSAGE_ROWS = [
         "config.services.svc.overrides.tmp_dir.path: not an overridable field"),
     row("override-no-such-member", {OVR: {"retry.jitter": 0.5}},
         "config.services.svc.overrides.retry.jitter: retry has no field 'jitter'"),
+    row("override-relative-tmp_dir", {OVR: {"tmp_dir": "scratch"}},
+        "config.services.svc.overrides.tmp_dir: must be an absolute path"),
+    row("override-relative-destination", {OVR: {"destination_templates.user": "{uid}/vt"}},
+        "config.services.svc.overrides.destination_templates.user: "
+        "'{uid}/vt' must render an absolute path"),
     row("override-bad-int", {OVR: {"retry.max_attempts": 0}},
         "config.services.svc.overrides.retry.max_attempts: must be >= 1"),
     row("override-bad-parallelism", {OVR: {"transfer_parallelism": 0}},

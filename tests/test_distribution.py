@@ -78,11 +78,6 @@ class TestDestinations:
         with pytest.raises(ValueError, match="distinct"):
             compute_destinations(svc, 4521)
 
-    def test_relative_path_rejected(self, site):
-        svc = self.custom(site, "/var/tokens/{account}", "tokens/{account}.{role}")
-        with pytest.raises(ValueError, match="absolute"):
-            compute_destinations(svc, 4521)
-
 
 class TestPushToken:
     """One token to one node: a one-node service through the same scheduler
@@ -130,6 +125,13 @@ class TestPushToken:
                             rng=random.Random(1))
         assert (outcome.success, outcome.attempts) == (True, 2)
         assert 0.0 < clock.monotonic() <= 0.001  # one sleep, within its drawn window
+
+    def test_empty_transfer_error_reads_transfer_failed(self, site, staged_token):
+        faults = {self.NODE: simkit.FaultSchedule("t", (simkit.fail(""),))}
+        transfer = simkit.memory_transfer(faults=faults)
+        outcome = self.push(site, staged_token, transfer, simkit.FixedClock(),
+                            max_attempts=1)
+        assert (outcome.success, outcome.error) == (False, "transfer failed")
 
     def test_always_failing_node(self, site, staged_token):
         faults = {self.NODE: simkit.FaultSchedule(

@@ -230,13 +230,6 @@ class TestAggregate:
         assert summary.subject.endswith("1 failure(s) across 1 service(s)")
         assert summary.body.count("ValueError") == 1
 
-    def test_empty_outcome_error_reads_transfer_failed(self):
-        cfg = self.make_config(dune_production={})
-        (batch,), summary = aggregate(*run_record(push_failure(error=None)), streak(3),
-                                      cfg, "r1", 500.0)
-        assert batch.node_failures[0][2] == "transfer failed"
-        assert "  - [push] node=submit1.example.org transfer failed\n" in summary.body
-
 
 class TestDispatch:
     NODE = "submit1.example.org"

@@ -769,7 +769,10 @@ class TestBackwardClock:
         assert report.ok
         assert stages_of(report, "dune_production") == ["ticket", "vault_store", "push"]
         assert report.ended >= report.started
-        assert len(load_spans(str(span_path))) == 4
+        assert all(r.ended >= r.started for r in report.per_service["dune_production"])
+        spans = load_spans(str(span_path))
+        assert len(spans) == 4
+        assert all(span.end >= span.start for span in spans)
 
 
 class TestBuildSpans:
@@ -799,16 +802,6 @@ class TestBuildSpans:
         assert spans[0].status == "error"
         assert spans[-1].status == "error"
         assert spans[-1].attributes["detail"] == "failed nodes: n"
-
-
-class TestStageResultInvariants:
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError, match="stage"):
-            StageResult("s", "warp", True, 0.0, 1.0)
-
-    def test_reversed_interval_rejected(self):
-        with pytest.raises(ValueError):
-            StageResult("s", "ticket", True, 2.0, 1.0)
 
 
 class TestUidRefresh:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sqlite3
 import stat
 import subprocess
 import sys
@@ -53,7 +54,7 @@ class TestUidRecords:
         assert rec.fetched_at == 200.0
 
     def test_negative_uid_rejected(self, store):
-        with pytest.raises(ValueError):
+        with pytest.raises(sqlite3.IntegrityError):
             store.upsert_uid("duneprod", -1, now=0.0)
 
     def test_uid_zero_allowed(self, store):
