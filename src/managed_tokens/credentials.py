@@ -8,7 +8,9 @@ collide with it. The storer tool cannot run concurrently: the caller runs
 every :func:`store_vault_tokens` call of a run on one thread.
 
 The storer's token is checked here, once, where it enters the program: it
-must be non-empty, the staged copy is made owner-only, and with
+must be non-empty and written during this call (a file already at the shared
+location that the storer left untouched is refused, and left there for the
+operator), the staged copy is made owner-only, and with
 ``token_prefix_check`` on it must start with ``hvs.`` or ``s.``. Later
 stages trust the staged file.
 
@@ -62,7 +64,7 @@ class CommandFailed(CredentialError):
 
 
 class TokenNotProduced(CredentialError):
-    """The storer succeeded but left no token at the shared default location."""
+    """The storer succeeded but left no new token at the shared default location."""
 
 
 class TokenRejected(CredentialError):
@@ -150,6 +152,14 @@ def _oidc_prompt_line(inv: Invocation, pattern: str) -> Optional[str]:
     return None
 
 
+def _file_identity(path: str) -> Optional[tuple[int, int, int]]:
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_mtime_ns, st.st_size
+
+
 def store_vault_tokens(
     svc: ResolvedService,
     uid: int,
@@ -163,11 +173,15 @@ def store_vault_tokens(
     after the last credd host succeeds that file is *moved* to
     ``{state_dir}/tokens/{service}/vaulttoken`` (owner-only) so tokens of
     different services never collide. A failure against one credd aborts the
-    remaining credds for this service. With ``token_prefix_check`` on, a
-    staged token without the ``hvs.``/``s.`` prefix raises
-    :class:`TokenRejected`, so it is never pushed.
+    remaining credds for this service. A file at the shared location whose
+    inode, mtime and size are what they were before the first credd call
+    predates this run: it raises :class:`TokenNotProduced` and is left there.
+    With ``token_prefix_check`` on, a staged token without the
+    ``hvs.``/``s.`` prefix raises :class:`TokenRejected`, so it is never
+    pushed.
     """
     shared_path = default_token_path(svc, uid)
+    before = _file_identity(shared_path)
     values = {
         "service": svc.name,
         "keytab": svc.keytab_path,
@@ -199,6 +213,8 @@ def store_vault_tokens(
     if not os.path.isfile(shared_path) or os.path.getsize(shared_path) == 0:
         raise TokenNotProduced(
             f"storer succeeded but no token found at {shared_path}")
+    if _file_identity(shared_path) == before:
+        raise TokenNotProduced(f"token at {shared_path} predates this storer run")
     staged = staging_path(svc)
     staged_dir = os.path.dirname(staged)
     os.makedirs(staged_dir, mode=0o700, exist_ok=True)

@@ -13,7 +13,9 @@ its backoff heap, so it holds no transfer slot. Retry ``k`` waits a
 full-jitter draw from ``[0, base_backoff * 2**(k-1)]``, which keeps
 concurrent retries from synchronizing; nothing caps the window. Waits are
 scheduled on ``Clock.monotonic``, so a wall clock stepped back does not
-stretch them.
+stretch them. Once the run's cancel event is set no attempt starts: the
+attempts in flight finish, and every node still unsettled is settled as
+:data:`ABORTED`. A backoff sleep already begun is waited out.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import heapq
 import itertools
 import logging
 import random
+import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Collection, Optional
@@ -32,6 +35,8 @@ from .credentials import VaultTokenFile
 from .interfaces import Clock, TransferAdapter, TransferError, describe_error
 
 logger = logging.getLogger(__name__)
+
+ABORTED = "aborted: shutdown requested"
 
 
 @dataclass(frozen=True)
@@ -97,12 +102,14 @@ class PushScheduler:
     """
 
     def __init__(self, limit: int, transfer: TransferAdapter, clock: Clock,
-                 rng: Optional[random.Random] = None):
+                 rng: Optional[random.Random] = None,
+                 cancel: Optional[threading.Event] = None):
         self._pool = ThreadPoolExecutor(limit, thread_name_prefix="transfer")
         self._window = 2 * limit
         self._transfer = transfer
         self._clock = clock
         self._rng = rng if rng is not None else random.Random()
+        self._cancel = cancel
         self._open: list[ServicePush] = []
         self._finished: list[ServicePush] = []
         # (due on the monotonic clock, tie-breaker, service, node index): a min-heap
@@ -160,6 +167,9 @@ class PushScheduler:
         return finished, done
 
     def _start(self) -> None:
+        if self._cancel is not None and self._cancel.is_set():
+            self._abort()
+            return
         for push in self._open:
             while (push.ready and push.running < push.svc.transfer_parallelism
                    and len(self._in_flight) < self._window):
@@ -172,6 +182,15 @@ class PushScheduler:
                 self._in_flight[future] = (push, i)
             if len(self._in_flight) >= self._window:
                 return
+
+    def _abort(self) -> None:
+        """Settle every node that waits for an attempt or a retry as aborted."""
+        for _, _, push, i in self._backoff:
+            push.ready.append(i)
+        self._backoff.clear()
+        for push in list(self._open):
+            while push.ready:
+                self._settle(push, push.ready.popleft(), ABORTED)
 
     def _finish(self, future: Future) -> None:
         """Book a finished attempt: its node settles, or waits for a retry."""
@@ -189,6 +208,9 @@ class PushScheduler:
                 due = self._clock.monotonic() + self._rng.uniform(0, window)
                 heapq.heappush(self._backoff, (due, next(self._order), push, i))
                 return
+        self._settle(push, i, error)
+
+    def _settle(self, push: ServicePush, i: int, error: Optional[str]) -> None:
         push.settled[i] = PushOutcome(service=push.svc.name, node=push.svc.nodes[i],
                                       success=error is None, attempts=push.attempts[i],
                                       error=error)

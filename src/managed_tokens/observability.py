@@ -4,7 +4,8 @@ The process is batch-scheduled, so metrics are *pushed* (text exposition
 format, HTTP PUT to a pushgateway-compatible endpoint) rather than exposed
 for scraping. A PUT replaces every series of its group, so token push
 (:data:`PUSH_JOB`) and UID refresh (:data:`REFRESH_JOB`) push under their
-own job names. Spans go to a JSON-lines file by default, or to an HTTP
+own job names, and a token push of selected services adds a ``selection``
+grouping label. Spans go to a JSON-lines file by default, or to an HTTP
 collector endpoint. Neither ever fails the run: both HTTP sends go through
 one helper that logs a failure and reports it to the caller as False.
 """
@@ -127,13 +128,17 @@ def push_metrics(
     job: str,
     http: HttpAdapter,
     timeout: float = 10.0,
+    grouping: Optional[Mapping[str, str]] = None,
 ) -> bool:
-    """PUT the exposition body to ``{gateway}/metrics/job/{job}``, which
-    replaces every series that group held.
+    """PUT the exposition body to ``{gateway}/metrics/job/{job}``, plus
+    ``/{label}/{value}`` per grouping label, which replaces every series
+    that group held. Each value is URL-quoted.
 
     Always non-fatal: failures are logged and reported as False.
     """
-    url = gateway_url.rstrip("/") + "/metrics/job/" + urllib.parse.quote(job, safe="")
+    group = {"job": job, **(grouping or {})}
+    url = gateway_url.rstrip("/") + "/metrics" + "".join(
+        f"/{label}/{urllib.parse.quote(value, safe='')}" for label, value in group.items())
     if not _send(http, "PUT", url, "text/plain; version=0.0.4", text, timeout,
                  "metrics push"):
         return False

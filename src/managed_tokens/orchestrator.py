@@ -5,7 +5,7 @@ the caller's thread:
 
 - prepare: the UID (persisted, else fetched from the registry), then the
   Kerberos ticket, on a pool of ``min(S, transfer_parallelism)`` workers
-  that exits once its queue drains;
+  that exits once its queue drains; the caller reads every UID once first;
 - store: every vault-storer call on one storer thread, in the order the
   services finish preparing; that one thread serializes the storer;
 - push: one run-wide :class:`~.distribution.PushScheduler` drives every
@@ -13,11 +13,12 @@ the caller's thread:
 
 So a run holds ``transfer_parallelism + 2`` threads, plus the prepare pool
 while it drains, whatever the number of services or nodes. A stage failure
-stops that service's later stages and never touches other services. Once
-every stage has finished, every settled node's failure counter is saved in
-one store transaction; notifications then read the counters it wrote and the
-stage results and push outcomes that the returned :class:`RunReport` holds.
-Metrics and spans are emitted at the end and never fail the run.
+stops that service's later stages and never touches other services. Only
+the caller's thread uses the state store. Once every stage has finished,
+the UIDs fetched this run and every settled node's failure counter are saved
+in one store transaction; notifications then read the counters it wrote and
+the stage results and push outcomes that the returned :class:`RunReport`
+holds. Metrics and spans are emitted at the end and never fail the run.
 
 Both runs, token push and UID refresh, open the state store the same way
 (an unusable store is a :class:`FatalSetupError`) and push their metrics
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import collections
 import logging
+import sqlite3
 import threading
 import uuid
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -39,7 +41,7 @@ from . import credentials, notifications, observability, registry
 from .config import (ConfigError, GlobalConfig, ResolvedService, UnknownService,
                      resolve_service)
 from .credentials import TicketCache, VaultTokenFile
-from .distribution import PushOutcome, PushScheduler, ServicePush
+from .distribution import ABORTED, PushOutcome, PushScheduler, ServicePush
 from .interfaces import AdapterBundle, describe_error
 from .registry import RefreshReport
 from .statestore import FailureCounter, Store, StoreError, open_store
@@ -91,7 +93,7 @@ def order_services(config: GlobalConfig, selection: Optional[Iterable[str]] = No
 class _Stages:
     """The stage handlers of one run. A service's stages run one after
     another, each on its own stage's thread, and each appends to that
-    service's results."""
+    service's results. Only the caller's thread uses ``store``."""
 
     config: GlobalConfig
     deps: AdapterBundle
@@ -101,6 +103,8 @@ class _Stages:
     results: dict[str, list[StageResult]] = field(
         default_factory=lambda: collections.defaultdict(list))
     outcomes: dict[str, list[PushOutcome]] = field(default_factory=dict)
+    # service -> (account, uid, fetched at), for each UID fetched this run
+    fetched: dict[str, tuple[str, int, float]] = field(default_factory=dict)
 
     def record(self, name: str, stage: str, started: float, detail: str,
                success: bool = True) -> None:
@@ -113,8 +117,7 @@ class _Stages:
         if self.cancel is None or not self.cancel.is_set():
             return False
         now = self.deps.clock.now()
-        self.results[name].append(StageResult(name, stage, False, now, now,
-                                              "aborted: shutdown requested"))
+        self.results[name].append(StageResult(name, stage, False, now, now, ABORTED))
         logger.warning("stage aborted service=%s stage=%s", name, stage)
         return True
 
@@ -132,12 +135,12 @@ class _Stages:
         self.record(name, stage, started, detail(result))
         return result
 
-    def prepare(self, svc: ResolvedService, storer: ThreadPoolExecutor) -> Optional[Future]:
+    def prepare(self, svc: ResolvedService, uid: Optional[int],
+                storer: ThreadPoolExecutor) -> Optional[Future]:
         """UID, then ticket, on the prepare pool; then queue the service at the
-        storer from here, so the storer never waits on the caller's thread."""
-        # Prefer the persisted mapping, fall back to a live registry fetch.
-        # The registry stage only appears in the report when the fallback ran.
-        uid = self.store.lookup_uid(svc.account)
+        storer from here, so the storer never waits on the caller's thread.
+        A ``uid`` of None is fetched from the registry, the only case with a
+        registry stage, and left for :meth:`save`."""
         if uid is None:
             uid = self.stage(
                 svc.name, "registry",
@@ -146,7 +149,7 @@ class _Stages:
                 f"uid for account {svc.account!r} unavailable: ")
             if uid is None:
                 return None
-            self.store.upsert_uid(svc.account, uid, self.deps.clock.now())
+            self.fetched[svc.name] = (svc.account, uid, self.deps.clock.now())
         ticket = self.stage(
             svc.name, "ticket",
             lambda: credentials.acquire_ticket(svc, self.deps.runner),
@@ -181,21 +184,35 @@ class _Stages:
         detail = "failed nodes: " + ", ".join(failed) if failed else f"{len(outcomes)} node(s)"
         self.record(name, "push", push.started, detail, success=not failed)
 
-    def save_counters(self) -> dict[tuple[str, str], FailureCounter]:
-        """Fold every settled node into its failure counter in one store
-        transaction, and return the counters it wrote. If it raises, no
-        counter changes, it returns ``{}``, and each service that pushed gets
-        one more failed push result."""
+    def save(self) -> dict[tuple[str, str], FailureCounter]:
+        """Save every fetched UID and fold every settled node into its failure
+        counter, in one store transaction, and return the counters it wrote.
+        An aborted node's counter stays as it was: a run cut short says
+        nothing about the node. Unless this is a dry run, the counter of each
+        (service, node) pair that no configured service holds is deleted, so
+        a node that comes back starts from 0. If it raises, nothing changes,
+        it returns ``{}``, and each service that fetched a UID or pushed gets
+        one more failed result for it."""
         started = self.deps.clock.now()
         try:
             with self.store.transaction():
+                for account, uid, fetched_at in self.fetched.values():
+                    self.store.upsert_uid(account, uid, fetched_at)
+                if not self.dry_run:
+                    self.store.prune_counters((name, node) for name, svc
+                                              in self.config.services.items()
+                                              for node in svc.nodes)
                 return {(name, o.node): self.store.record_push_outcome(
                             name, o.node, o.success, started)
-                        for name in sorted(self.outcomes) for o in self.outcomes[name]}
+                        for name in sorted(self.outcomes) for o in self.outcomes[name]
+                        if o.error != ABORTED}
         except Exception as exc:
-            message = "failure counters not saved: " + describe_error(exc)
+            error = describe_error(exc)
+            for name in sorted(self.fetched):
+                self.record(name, "registry", started, "uid not saved: " + error, success=False)
             for name in sorted(self.outcomes):
-                self.record(name, "push", started, message, success=False)
+                self.record(name, "push", started, "failure counters not saved: " + error,
+                            success=False)
             return {}
 
 
@@ -221,20 +238,25 @@ def run_token_push(
     except ConfigError as exc:
         raise FatalSetupError(str(exc)) from exc
     store = _open_store(config)
+    try:
+        uids = {record.account: record.uid for record in store.uid_records()}
+    except sqlite3.DatabaseError as exc:
+        store.close()
+        raise FatalSetupError(f"state store unusable: {exc}") from exc
     logger.info("run started run_id=%s services=%d dry_run=%s",
                 run_id, len(names), dry_run)
     stages = _Stages(config, deps, store, dry_run, cancel)
     parallelism = config.transfer_parallelism
     try:
-        with PushScheduler(parallelism, deps.transfer, clock, deps.rng) as pushes, \
+        with PushScheduler(parallelism, deps.transfer, clock, deps.rng, cancel) as pushes, \
                 ThreadPoolExecutor(1, thread_name_prefix="storer") as storer, \
                 ThreadPoolExecutor(min(len(names), parallelism), "prepare") as prepare:
             # A pending future -> its service and the stage a crash in it
             # fails. A prepare future's result is the storer future, whose
             # result is the staged token.
             pending: dict[Future, tuple[ResolvedService, str]] = {
-                prepare.submit(stages.prepare, resolved[name], storer):
-                    (resolved[name], "ticket") for name in names}
+                prepare.submit(stages.prepare, svc, uids.get(svc.account), storer):
+                    (svc, "ticket") for svc in resolved.values()}
             prepare.shutdown(wait=False)  # its workers exit once its queue drains
             while pending or pushes.busy:
                 finished, done = pushes.step(pending)
@@ -255,8 +277,8 @@ def run_token_push(
                         stages.start_push(svc, result, pushes)
 
         sent = 0
+        counters = stages.save()  # a dry run pushed nothing, so it saves only UIDs
         if not dry_run:
-            counters = stages.save_counters()
             batches, summary = notifications.aggregate(
                 stages.results, stages.outcomes, counters, config, run_id, clock.now())
             sent = notifications.dispatch(batches, summary, deps.sink, store)
@@ -273,7 +295,9 @@ def run_token_push(
     )
     logger.info("run finished run_id=%s ok=%s notifications=%d",
                 run_id, report.ok, report.notifications_sent)
-    _emit_run_telemetry(report, config, deps)
+    # A selection run gets its own group, so it does not wipe a full run's series.
+    _emit_run_telemetry(report, config, deps,
+                        {"selection": "+".join(names)} if selection else None)
     return report
 
 
@@ -285,16 +309,18 @@ def _open_store(config: GlobalConfig) -> Store:
 
 
 def _push_metrics(config: GlobalConfig, deps: AdapterBundle, job: str,
-                  samples: list[observability.MetricSample]) -> None:
+                  samples: list[observability.MetricSample],
+                  grouping: Optional[Mapping[str, str]] = None) -> None:
     if config.metrics_gateway_url:
         observability.push_metrics(observability.render_exposition(samples),
-                                   config.metrics_gateway_url, job, deps.gateway_http())
+                                   config.metrics_gateway_url, job, deps.gateway_http(),
+                                   grouping=grouping)
 
 
-def _emit_run_telemetry(report: RunReport, config: GlobalConfig,
-                        deps: AdapterBundle) -> None:
+def _emit_run_telemetry(report: RunReport, config: GlobalConfig, deps: AdapterBundle,
+                        grouping: Optional[Mapping[str, str]]) -> None:
     _push_metrics(config, deps, observability.PUSH_JOB,
-                  observability.report_to_metrics(report))
+                  observability.report_to_metrics(report), grouping)
     if config.trace_export:
         observability.export_spans(build_spans(report), config.trace_export,
                                    http=deps.http)

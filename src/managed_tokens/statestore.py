@@ -20,9 +20,8 @@ import contextlib
 import fcntl
 import os
 import sqlite3
-import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 DB_FILENAME = "managed-tokens.sqlite"
 LOCK_FILENAME = "writer.lock"
@@ -60,9 +59,8 @@ class Store:
     """Open handle on the state database.
 
     One exclusive writer per state_dir, enforced with a non-blocking flock.
-    Within the process the handle may be shared across worker threads; all
-    access is serialized on an internal mutex, so a thread always sees its
-    own completed writes.
+    Within the process only the thread that opened the handle may use it:
+    sqlite3 raises ``ProgrammingError`` on a call from any other thread.
     """
 
     def __init__(self, state_dir: str):
@@ -83,10 +81,8 @@ class Store:
         # inherit it instead of the umask default.
         fd = os.open(self._db_path, os.O_RDWR | os.O_CREAT, 0o600)
         os.close(fd)
-        self._mutex = threading.RLock()
         try:
-            self._conn = sqlite3.connect(self._db_path, check_same_thread=False,
-                                         isolation_level=None)
+            self._conn = sqlite3.connect(self._db_path, isolation_level=None)
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS uids ("
@@ -114,10 +110,9 @@ class Store:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        with self._mutex:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None  # type: ignore[assignment]
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None  # type: ignore[assignment]
         self._release_lock()
 
     def _release_lock(self) -> None:
@@ -137,41 +132,36 @@ class Store:
     @contextlib.contextmanager
     def transaction(self) -> Iterator[None]:
         """Commit every write made inside the block at once, or none of them
-        if the block raises. The block holds the store's mutex, so another
-        thread's write waits for it instead of joining it."""
-        with self._mutex:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                yield
-                self._conn.execute("COMMIT")
-            except BaseException:
-                if self._conn.in_transaction:  # a failed COMMIT may have ended it
-                    self._conn.execute("ROLLBACK")
-                raise
+        if the block raises."""
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield
+            self._conn.execute("COMMIT")
+        except BaseException:
+            if self._conn.in_transaction:  # a failed COMMIT may have ended it
+                self._conn.execute("ROLLBACK")
+            raise
 
     # -- UID records ---------------------------------------------------------
 
     def upsert_uid(self, account: str, uid: int, now: float) -> None:
-        with self._mutex:
-            self._conn.execute(
-                "INSERT INTO uids (account, uid, fetched_at) VALUES (?, ?, ?)"
-                " ON CONFLICT(account) DO UPDATE SET uid=excluded.uid,"
-                " fetched_at=excluded.fetched_at",
-                (account, uid, now),
-            )
+        self._conn.execute(
+            "INSERT INTO uids (account, uid, fetched_at) VALUES (?, ?, ?)"
+            " ON CONFLICT(account) DO UPDATE SET uid=excluded.uid,"
+            " fetched_at=excluded.fetched_at",
+            (account, uid, now),
+        )
 
     def lookup_uid(self, account: str) -> Optional[int]:
-        with self._mutex:
-            row = self._conn.execute(
-                "SELECT uid FROM uids WHERE account = ?", (account,)
-            ).fetchone()
+        row = self._conn.execute(
+            "SELECT uid FROM uids WHERE account = ?", (account,)
+        ).fetchone()
         return None if row is None else int(row[0])
 
     def uid_records(self) -> list[UidRecord]:
-        with self._mutex:
-            rows = self._conn.execute(
-                "SELECT account, uid, fetched_at FROM uids ORDER BY account"
-            ).fetchall()
+        rows = self._conn.execute(
+            "SELECT account, uid, fetched_at FROM uids ORDER BY account"
+        ).fetchall()
         return [UidRecord(account=r[0], uid=int(r[1]), fetched_at=float(r[2])) for r in rows]
 
     # -- failure counters ----------------------------------------------------
@@ -183,50 +173,56 @@ class Store:
         Success resets both the streak and the notification watermark;
         failure extends the streak by one. Returns the post-update state.
         """
-        with self._mutex:
-            if success:
-                failures, notified = 0, 0
-            else:
-                old = self.get_counter(service, node) or FailureCounter(service, node, 0, now, 0)
-                failures, notified = old.consecutive_failures + 1, old.last_notified_count
-            self._conn.execute(
-                "INSERT INTO failure_counters"
-                " (service, node, consecutive_failures, last_attempt_at, last_notified_count)"
-                " VALUES (?, ?, ?, ?, ?)"
-                " ON CONFLICT(service, node) DO UPDATE SET"
-                " consecutive_failures=excluded.consecutive_failures,"
-                " last_attempt_at=excluded.last_attempt_at,"
-                " last_notified_count=excluded.last_notified_count",
-                (service, node, failures, now, notified),
-            )
+        if success:
+            failures, notified = 0, 0
+        else:
+            old = self.get_counter(service, node) or FailureCounter(service, node, 0, now, 0)
+            failures, notified = old.consecutive_failures + 1, old.last_notified_count
+        self._conn.execute(
+            "INSERT INTO failure_counters"
+            " (service, node, consecutive_failures, last_attempt_at, last_notified_count)"
+            " VALUES (?, ?, ?, ?, ?)"
+            " ON CONFLICT(service, node) DO UPDATE SET"
+            " consecutive_failures=excluded.consecutive_failures,"
+            " last_attempt_at=excluded.last_attempt_at,"
+            " last_notified_count=excluded.last_notified_count",
+            (service, node, failures, now, notified),
+        )
         return FailureCounter(service, node, failures, now, notified)
 
     def get_counter(self, service: str, node: str) -> Optional[FailureCounter]:
-        with self._mutex:
-            row = self._conn.execute(
-                "SELECT consecutive_failures, last_attempt_at, last_notified_count"
-                " FROM failure_counters WHERE service = ? AND node = ?",
-                (service, node),
-            ).fetchone()
+        row = self._conn.execute(
+            "SELECT consecutive_failures, last_attempt_at, last_notified_count"
+            " FROM failure_counters WHERE service = ? AND node = ?",
+            (service, node),
+        ).fetchone()
         if row is None:
             return None
         return FailureCounter(service, node, int(row[0]), float(row[1]), int(row[2]))
 
     def mark_notified(self, service: str, node: str) -> None:
         """Acknowledge a sent notification: watermark := current streak."""
-        with self._mutex:
-            self._conn.execute(
-                "UPDATE failure_counters SET last_notified_count = consecutive_failures"
-                " WHERE service = ? AND node = ?",
-                (service, node),
-            )
+        self._conn.execute(
+            "UPDATE failure_counters SET last_notified_count = consecutive_failures"
+            " WHERE service = ? AND node = ?",
+            (service, node),
+        )
+
+    def prune_counters(self, keep: Iterable[tuple[str, str]]) -> None:
+        """Delete every failure counter whose (service, node) is not in ``keep``,
+        which must not be empty."""
+        keep = list(keep)
+        self._conn.execute(
+            "DELETE FROM failure_counters WHERE (service, node) NOT IN (VALUES "
+            + ", ".join(["(?, ?)"] * len(keep)) + ")",
+            [value for pair in keep for value in pair],
+        )
 
     def counters(self) -> list[FailureCounter]:
-        with self._mutex:
-            rows = self._conn.execute(
-                "SELECT service, node, consecutive_failures, last_attempt_at,"
-                " last_notified_count FROM failure_counters ORDER BY service, node"
-            ).fetchall()
+        rows = self._conn.execute(
+            "SELECT service, node, consecutive_failures, last_attempt_at,"
+            " last_notified_count FROM failure_counters ORDER BY service, node"
+        ).fetchall()
         return [
             FailureCounter(r[0], r[1], int(r[2]), float(r[3]), int(r[4])) for r in rows
         ]

@@ -7,7 +7,7 @@ import functools
 import pytest
 import yaml
 
-from managed_tokens import simkit, statestore
+from managed_tokens import orchestrator, simkit, statestore
 from managed_tokens.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
@@ -63,19 +63,19 @@ class TestTokenPush:
         assert "@ submit2.example.org: no route to host (after 2 attempt(s))" in out
 
     def test_crashed_stage_plumbing_exits_one(self, sim_site, capsys, monkeypatch):
-        lookup_uid = statestore.Store.lookup_uid
+        stage = orchestrator._Stages.stage
 
-        def broken_for_dune(self, account):
-            if account == "duneprod":
-                raise RuntimeError("lookup exploded")
-            return lookup_uid(self, account)
+        def broken_for_dune(self, name, *args):
+            if name == "dune_production":  # outside any stage's try, in prepare
+                raise RuntimeError("stage plumbing exploded")
+            return stage(self, name, *args)
 
-        monkeypatch.setattr(statestore.Store, "lookup_uid", broken_for_dune)
+        monkeypatch.setattr(orchestrator._Stages, "stage", broken_for_dune)
         code = main_token_push(["--config", sim_config(sim_site)])
         out = capsys.readouterr().out
         assert code == EXIT_PARTIAL
         assert "2 service(s), 1 with failures" in out
-        assert "dune_production: ticket FAILED (RuntimeError: lookup exploded)" in out
+        assert "dune_production: ticket FAILED (RuntimeError: stage plumbing exploded)" in out
 
     def test_unsaved_failure_counters_exit_one(self, sim_site, capsys, monkeypatch):
         def disk_full(self, service, node, success, now):

@@ -48,6 +48,20 @@ def make_ticket(svc) -> TicketCache:
     return TicketCache(cache_path=ticket_cache_path(svc))
 
 
+STALE_TOKEN = b"hvs.STALE-token-from-yesterday\n"
+
+
+def plant_stale_token(svc, uid: int) -> str:
+    """A token a storer left at the shared location a day ago."""
+    shared = default_token_path(svc, uid)
+    os.makedirs(os.path.dirname(shared), exist_ok=True)
+    with open(shared, "wb") as fh:
+        fh.write(STALE_TOKEN)
+    day_ago = os.stat(shared).st_mtime - 86400
+    os.utime(shared, (day_ago, day_ago))
+    return shared
+
+
 class TestPrincipal:
     def test_rendered_form(self, site):
         assert render_principal(one_service(site)) == (
@@ -234,6 +248,30 @@ class TestStoreVaultTokens:
             side_effects=simkit.write_token_from_env(content=b""), clock=clock)
         with pytest.raises(TokenNotProduced):
             store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+
+    def test_token_left_from_an_earlier_run_is_refused_and_kept(self, site):
+        svc = one_service(site)
+        shared = plant_stale_token(svc, 4521)
+        runner = simkit.scripted_runner(simkit.always_succeed(), clock=simkit.FixedClock())
+        with pytest.raises(TokenNotProduced,
+                           match=f"token at {shared} predates this storer run"):
+            store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+        with open(shared, "rb") as fh:
+            assert fh.read() == STALE_TOKEN  # left for the operator
+        assert not os.path.exists(staging_path(svc))
+
+    def test_storer_writing_over_a_stale_token_succeeds(self, site):
+        svc = one_service(site)
+        shared = plant_stale_token(svc, 4521)
+        fresh = STALE_TOKEN.replace(b"STALE", b"FRESH")  # same inode and size: only mtime moves
+        runner = simkit.scripted_runner(
+            simkit.always_succeed(),
+            side_effects=simkit.write_token_from_env(content=fresh),
+            clock=simkit.FixedClock())
+        token = store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+        with open(token.path, "rb") as fh:
+            assert fh.read() == fresh
+        assert not os.path.exists(shared)
 
     @pytest.mark.parametrize("content,ok", [
         (b"hvs.CAESIJ...", True),

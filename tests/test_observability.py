@@ -194,6 +194,12 @@ class TestPushMetrics:
         push_metrics("x 1\n", "http://gw.example.org/", "a job", gw)
         assert gw.requests[0][1] == "/metrics/job/a%20job"
 
+    def test_grouping_labels_follow_the_job_quoted(self):
+        gw = simkit.RecordingGateway()
+        push_metrics("x 1\n", "http://gw.example.org", "j", gw,
+                     grouping={"selection": "a_svc+b/svc"})
+        assert gw.requests[0][1] == "/metrics/job/j/selection/a_svc%2Bb%2Fsvc"
+
     def test_server_error_is_nonfatal(self):
         gw = simkit.RecordingGateway(status=500)
         assert push_metrics("x 1\n", "http://gw.example.org", "j", gw) is False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sqlite3
 import sys
 import threading
 
@@ -163,6 +164,74 @@ class TestUidResolution:
             assert store.lookup_uid("duneprod") is None
 
 
+    def test_dry_run_persists_fetched_uids(self, site):
+        site.add_service("dune_production")
+        cfg = site.config()
+        report = run_token_push(cfg, make_bundle(uids={"duneprod": 1001}), dry_run=True)
+        assert report.ok
+        assert stages_of(report, "dune_production") == ["registry", "ticket", "vault_store"]
+        with open_store(cfg.state_dir) as store:
+            assert [(r.account, r.uid) for r in store.uid_records()] == [("duneprod", 1001)]
+
+    def test_persisted_uids_are_read_without_per_service_lookups(self, site, monkeypatch):
+        site.add_service("dune_production")
+        site.add_service("mu2e_production")
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+
+        def no_lookups(self, account):
+            raise RuntimeError("lookup_uid called")
+
+        monkeypatch.setattr(statestore.Store, "lookup_uid", no_lookups)
+        bundle = make_bundle()
+        report = run_token_push(cfg, bundle)
+        assert report.ok
+        assert bundle.http.hits == {}
+
+    def test_only_the_callers_thread_uses_the_store(self, site, monkeypatch):
+        site.add_service("dune_production")  # UID persisted
+        site.add_service("mu2e_production")  # UID fetched
+        cfg = site.config(notification={"admin_recipients": ["ops@example.org"],
+                                        "threshold": 1})
+        site.seed_uids({"duneprod": 1001})
+        calls = []
+        for name, method in vars(statestore.Store).items():
+            if callable(method) and not name.startswith("_"):
+                def recording(self, *args, _name=name, _method=method, **kwargs):
+                    calls.append((_name, threading.current_thread()))
+                    return _method(self, *args, **kwargs)
+                monkeypatch.setattr(statestore.Store, name, recording)
+        faults = {"submit2.example.org": simkit.FaultSchedule(
+            "t", (simkit.fail("no route to host"),))}
+        bundle = make_bundle(uids={"mu2eprod": 2002}, transfer_faults=faults)
+        report = run_token_push(cfg, bundle)
+        assert report.notifications_sent == 3  # two stakeholder batches, one summary
+        names = [name for name, _ in calls]
+        assert names.count("uid_records") == 1
+        assert {"upsert_uid", "prune_counters", "record_push_outcome",
+                "mark_notified"} <= set(names)
+        assert {thread for _, thread in calls} == {threading.current_thread()}
+        with open_store(cfg.state_dir) as store:
+            assert store.lookup_uid("mu2eprod") == 2002
+
+    def test_unsaved_uid_is_reported_not_raised(self, site, monkeypatch):
+        site.add_service("dune_production")
+        cfg = site.config()
+
+        def disk_full(self, account, uid, now):
+            raise statestore.StoreError("disk full")
+
+        monkeypatch.setattr(statestore.Store, "upsert_uid", disk_full)
+        report = run_token_push(cfg, make_bundle(uids={"duneprod": 1001}))
+        assert not report.ok
+        unsaved = report.per_service["dune_production"][-2:]
+        assert [(r.stage, r.success, r.detail) for r in unsaved] == [
+            ("registry", False, "uid not saved: StoreError: disk full"),
+            ("push", False, "failure counters not saved: StoreError: disk full")]
+        with open_store(cfg.state_dir) as store:
+            assert store.uid_records() == [] and store.counters() == []
+
+
 class TestFailureIsolation:
     def test_ticket_failure_stops_only_that_service(self, site):
         site.add_service("dune_production")
@@ -252,33 +321,54 @@ class TestFailureIsolation:
         with open_store(cfg.state_dir) as store:
             assert [c.consecutive_failures for c in store.counters()] == [0, 0]
 
+    def test_stale_token_at_the_shared_location_is_never_pushed(self, site):
+        site.add_service("dune_production")
+        cfg = site.config()
+        site.seed_uids({"duneprod": 5000})
+        stale = site.tmp_dir / "vt_u5000"
+        stale.write_bytes(b"hvs.STALE-token-from-yesterday\n")
+        with open_store(cfg.state_dir) as store:
+            store.record_push_outcome("dune_production", "submit1.example.org", False, 0.0)
+            before = store.counters()
+        bundle = make_bundle(storer_side_effects=lambda index, argv, env: None)
+        report = run_token_push(cfg, bundle)
+        assert stages_of(report, "dune_production") == ["ticket", "vault_store"]
+        vault_store = report.per_service["dune_production"][-1]
+        assert not vault_store.success
+        assert vault_store.detail == f"TokenNotProduced: token at {stale} predates this storer run"
+        assert bundle.transfer.log.entries() == ()
+        assert report.push_outcomes == ()
+        assert stale.read_bytes() == b"hvs.STALE-token-from-yesterday\n"
+        with open_store(cfg.state_dir) as store:
+            assert store.counters() == before
+
     def test_plumbing_crash_in_one_service_leaves_the_others(self, site, monkeypatch,
                                                                caplog):
         site.add_service("dune_production")
         site.add_service("mu2e_production")
         cfg = site.config()
         site.seed_uids(site.uid_map())
-        lookup_uid = statestore.Store.lookup_uid
+        stage = orchestrator._Stages.stage
 
-        def broken_for_dune(self, account):
-            if account == "duneprod":
-                raise RuntimeError("lookup exploded")
-            return lookup_uid(self, account)
+        def broken_for_dune(self, name, *args):
+            if name == "dune_production":  # outside any stage's try, in prepare
+                raise RuntimeError("stage plumbing exploded")
+            return stage(self, name, *args)
 
-        monkeypatch.setattr(statestore.Store, "lookup_uid", broken_for_dune)
+        monkeypatch.setattr(orchestrator._Stages, "stage", broken_for_dune)
         bundle = make_bundle()
         with caplog.at_level("ERROR", logger="managed_tokens"):
             report = run_token_push(cfg, bundle)
         (crashed,) = report.per_service["dune_production"]
         assert (crashed.stage, crashed.success) == ("ticket", False)
-        assert crashed.detail == "RuntimeError: lookup exploded"
+        assert crashed.detail == "RuntimeError: stage plumbing exploded"
         assert not report.ok
         assert all(r.success for r in report.per_service["mu2e_production"])
         assert {o.service for o in report.push_outcomes} == {"mu2e_production"}
         assert any("pipeline crashed service=dune_production" in r.message
                    for r in caplog.records)
         (summary,) = bundle.sink.messages
-        assert "[ticket] RuntimeError: lookup exploded" in summary.body
+        assert "[ticket] RuntimeError: stage plumbing exploded" in summary.body
 
     def test_plumbing_crash_at_the_storer_fails_the_vault_store_stage(self, site,
                                                                       monkeypatch):
@@ -408,6 +498,23 @@ class TestDryRun:
         assert staged.is_file() and staged.stat().st_size > 0
 
 
+    def test_dry_run_deletes_no_counter(self, site):
+        site.add_service("dune_production")
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+        with open_store(cfg.state_dir) as store:
+            store.record_push_outcome("gone_production", "submit1.example.org", False, 0.0)
+        run_token_push(cfg, make_bundle(), dry_run=True)
+        with open_store(cfg.state_dir) as store:
+            assert [(c.service, c.node) for c in store.counters()] == [
+                ("gone_production", "submit1.example.org")]
+        run_token_push(cfg, make_bundle())
+        with open_store(cfg.state_dir) as store:
+            assert [(c.service, c.node) for c in store.counters()] == [
+                ("dune_production", "submit1.example.org"),
+                ("dune_production", "submit2.example.org")]
+
+
 class TestSelection:
     def test_order_is_lexicographic(self, site):
         for name in ("c_svc", "a_svc", "b_svc"):
@@ -431,6 +538,20 @@ class TestSelection:
         assert list(report.per_service) == ["b_svc"]
         assert all("b_svc" in " ".join(e.args)
                    for e in ticket_log(bundle).entries())
+
+    def test_selection_run_leaves_other_services_counters(self, site):
+        site.add_service("a_svc")
+        site.add_service("b_svc")
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+        faults = {"submit2.example.org": simkit.FaultSchedule(
+            "t", (simkit.fail("no route to host"),))}
+        run_token_push(cfg, make_bundle(transfer_faults=faults))
+        run_token_push(cfg, make_bundle(), selection=["a_svc"])
+        with open_store(cfg.state_dir) as store:
+            assert [(c.service, c.node, c.consecutive_failures) for c in store.counters()] == [
+                ("a_svc", "submit1.example.org", 0), ("a_svc", "submit2.example.org", 0),
+                ("b_svc", "submit1.example.org", 0), ("b_svc", "submit2.example.org", 1)]
 
     def test_unknown_selection_is_fatal_before_any_stage(self, site):
         site.add_service("a_svc")
@@ -459,6 +580,20 @@ class TestFatalSetup:
         cfg = site.config(state_dir=str(blocker))
         with pytest.raises(FatalSetupError):
             run_token_push(cfg, make_bundle())
+
+    def test_unreadable_uid_table(self, site, monkeypatch):
+        site.add_service("a_svc")
+        cfg = site.config()
+
+        def malformed(self):
+            raise sqlite3.DatabaseError("database disk image is malformed")
+
+        monkeypatch.setattr(statestore.Store, "uid_records", malformed)
+        bundle = make_bundle()
+        with pytest.raises(FatalSetupError, match="state store unusable: database disk"):
+            run_token_push(cfg, bundle)
+        assert ticket_log(bundle).entries() == ()
+        open_store(cfg.state_dir).close()  # the lock was released
 
     def test_refresh_with_locked_store(self, site):
         site.add_service("a_svc")
@@ -525,6 +660,43 @@ class TestGracefulShutdown:
         assert results[0].success
         assert results[1].detail == "aborted: shutdown requested"
         assert storer_log(bundle).entries() == ()
+
+
+    def test_cancel_during_the_first_attempt_starts_no_other(self, site):
+        site.add_service("dune_production", nodes=("down.example.org",),
+                         overrides={"retry.max_attempts": 6, "retry.base_backoff": "100s"})
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+        with open_store(cfg.state_dir) as store:
+            for _ in range(2):
+                store.record_push_outcome("dune_production", "down.example.org", False, 0.0)
+            before = store.counters()
+        faults = {"down.example.org": simkit.FaultSchedule(
+            "t", (simkit.fail("no route to host"),))}
+        bundle = make_bundle(clock=simkit.FixedClock(advance_on_sleep=True),
+                             transfer_faults=faults)
+        cancel = threading.Event()
+
+        class CancellingTransfer:
+            """Requests shutdown inside the first copy, which then fails."""
+
+            def put(self, *args, **kwargs):
+                cancel.set()
+                return bundle.transfer.put(*args, **kwargs)
+
+        started = bundle.clock.monotonic()
+        report = run_token_push(cfg, dataclasses.replace(bundle, transfer=CancellingTransfer()),
+                                cancel=cancel)
+        assert len(bundle.transfer.log.entries()) == 1
+        assert bundle.clock.monotonic() - started < 100  # no backoff slept
+        (outcome,) = report.push_outcomes
+        assert (outcome.success, outcome.attempts, outcome.error) == (
+            False, 1, "aborted: shutdown requested")
+        push = report.per_service["dune_production"][-1]
+        assert (push.stage, push.success, push.detail) == (
+            "push", False, "failed nodes: down.example.org")
+        with open_store(cfg.state_dir) as store:
+            assert store.counters() == before
 
 
 class TestNotificationsWiring:
@@ -596,6 +768,29 @@ class TestNotificationsWiring:
             counter = store.get_counter("dune_production", "submit2.example.org")
         assert (counter.consecutive_failures, counter.last_notified_count) == (1, 0)
         return cfg
+
+    def test_node_that_comes_back_starts_a_new_streak(self, site):
+        def configure(nodes):
+            site.add_service("dune_production", nodes=nodes,
+                             overrides={"retry.max_attempts": 1})
+            return site.config(notification={"admin_recipients": ["ops@example.org"],
+                                             "threshold": 3})
+
+        with_old = ("submit1.example.org", "old.example.org")
+        site.seed_uids({"duneprod": 1001})
+        faults = {"old.example.org": simkit.FaultSchedule(
+            "t", (simkit.fail("no route to host"),))}
+        for _ in range(2):
+            run_token_push(configure(with_old), make_bundle(transfer_faults=faults))
+        run_token_push(configure(("submit1.example.org",)), make_bundle())
+        bundle = make_bundle(transfer_faults=faults)
+        report = run_token_push(configure(with_old), bundle)
+        (summary,) = bundle.sink.messages  # no stakeholder page
+        assert report.notifications_sent == 1
+        assert summary.recipients == ("ops@example.org",)
+        with open_store(site.config().state_dir) as store:
+            counter = store.get_counter("dune_production", "old.example.org")
+        assert counter.consecutive_failures == 1
 
     def test_failed_counter_save_pages_nobody_from_an_old_counter(self, site,
                                                                   monkeypatch):
@@ -759,6 +954,21 @@ class TestTelemetryWiring:
         assert_pairwise_disjoint([(s.start, s.end) for s in vault_spans])
 
 
+    def test_selection_runs_push_to_their_own_groups(self, site):
+        site.add_service("a_svc")
+        site.add_service("b_svc")
+        cfg = site.config(metrics_gateway_url="http://gw.example.org:9091")
+        site.seed_uids(site.uid_map())
+        gateway = simkit.RecordingGateway()
+        for selection in (None, ["a_svc"], ["b_svc"], ["b_svc", "a_svc"]):
+            run_token_push(cfg, make_bundle(gateway=gateway), selection=selection)
+        assert [path for _, path, _ in gateway.requests] == [
+            "/metrics/job/managed_tokens",
+            "/metrics/job/managed_tokens/selection/a_svc",
+            "/metrics/job/managed_tokens/selection/b_svc",
+            "/metrics/job/managed_tokens/selection/a_svc%2Bb_svc"]
+
+
 class TestBackwardClock:
     def test_clock_stepping_back_mid_run_fails_no_stage(self, site, tmp_path):
         site.add_service("dune_production")
@@ -920,6 +1130,23 @@ class TestConcurrency:
         # The storer, the transfer pool and a prepare pool of at most P
         # workers that is still draining; never a thread per service.
         assert peak <= before + 2 * parallelism + 1
+
+    def test_every_uid_fetched_by_the_prepare_pool_is_saved(self, site):
+        # 24 accounts fetched by 8 prepare workers on fewer cores, with a short
+        # switch interval: a fetched UID lost between workers would be missing.
+        for i in range(24):
+            site.add_service(f"svc{i:02d}_production", nodes=("n.example.org",))
+        cfg = site.config(transfer_parallelism=8)
+        uids = site.uid_map()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = run_token_push(cfg, make_bundle(uids=uids))
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.ok
+        with open_store(cfg.state_dir) as store:
+            assert {r.account: r.uid for r in store.uid_records()} == uids
 
     def test_down_node_on_a_clock_that_never_advances(self, site):
         site.add_service("dune_production")

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 from hypothesis import given
@@ -208,6 +209,35 @@ class TestFailureCounters:
             assert counter is None
         else:
             assert counter.consecutive_failures == expected
+
+
+class TestPruneCounters:
+    def test_only_the_kept_pairs_remain(self, store):
+        for service, node in [("a_svc", "n1"), ("a_svc", "old"), ("b_svc", "n1"),
+                              ("gone_svc", "n1")]:
+            store.record_push_outcome(service, node, False, now=0.0)
+        store.prune_counters([("a_svc", "n1"), ("b_svc", "n1"), ("b_svc", "n2")])
+        assert [(c.service, c.node) for c in store.counters()] == [
+            ("a_svc", "n1"), ("b_svc", "n1")]
+
+
+class TestOwningThread:
+    def test_use_from_another_thread_raises(self, store):
+        errors = []
+
+        def read():
+            try:
+                store.uid_records()
+            except Exception as exc:
+                errors.append(exc)
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        (error,) = errors
+        assert isinstance(error, sqlite3.ProgrammingError)
+        assert store.uid_records() == []  # the opening thread still may
 
 
 class TestTransaction:
