@@ -11,9 +11,10 @@ non-empty string, ``Optional[str]`` that or null, ``bool`` true or false,
 dataclass a mapping checked the same way, where null means all its defaults.
 ``_CHECKS`` holds the few fields whose rule differs from their type, and
 ``_INVARIANTS`` the rules across one group's fields. Every message names the
-failing field by its path. Workers receive a :class:`ResolvedService`, a
-flattened, self-contained view of one capability set with every global
-default and per-service override already applied.
+failing field by its path. The fields of :class:`Settings` are the ones a
+service may override: :class:`GlobalConfig` inherits them as the global
+defaults, and workers receive a :class:`ResolvedService`, one capability set
+with those settings resolved, every per-service override already applied.
 
 Durations may be written as bare seconds (``180``) or with a unit suffix
 (``"30s"``, ``"3h"``, ``"7d"``); they are normalized to float seconds.
@@ -161,70 +162,51 @@ class ServiceConfig:
     overrides: Mapping[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class GlobalConfig:
-    # A non-empty environment variable named by "env" wins over the file.
-    state_dir: str = field(metadata={"env": ENV_STATE_DIR})
-    kerberos_realm: str
-    services: Mapping[str, ServiceConfig]
+@dataclass(frozen=True, kw_only=True)
+class Settings:
+    """The settings a service may override: a flat field by its name, a member
+    of a group by ``group.member``. One transfer adapter serves every service,
+    so ``commands.transfer`` is run-wide all the same."""
+
     tmp_dir: str = "/tmp"
     transfer_parallelism: int = 4
     timeouts: StageTimeouts = field(default_factory=StageTimeouts)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     token_lifetimes: TokenLifetimes = field(default_factory=TokenLifetimes)
-    metrics_gateway_url: Optional[str] = field(default=None,
-                                               metadata={"env": ENV_METRICS_GATEWAY_URL})
-    trace_export: Optional[str] = None
-    notification: NotificationConfig = field(default_factory=NotificationConfig)
-    registry: RegistryConfig = field(default_factory=RegistryConfig)
     commands: CommandTemplates = field(default_factory=CommandTemplates)
     destination_templates: DestinationTemplates = field(default_factory=DestinationTemplates)
     default_token_path: str = "{tmp_dir}/vt_u{uid}"
     token_prefix_check: bool = False
     oidc_prompt_regex: str = r"(?i)(?=.*oidc)(?=.*https?://)"
+
+
+@dataclass(frozen=True, kw_only=True)
+class GlobalConfig(Settings):
+    # A non-empty environment variable named by "env" wins over the file.
+    state_dir: str = field(metadata={"env": ENV_STATE_DIR})
+    kerberos_realm: str
+    services: Mapping[str, ServiceConfig]
+    metrics_gateway_url: Optional[str] = field(default=None,
+                                               metadata={"env": ENV_METRICS_GATEWAY_URL})
+    trace_export: Optional[str] = None
+    notification: NotificationConfig = field(default_factory=NotificationConfig)
+    registry: RegistryConfig = field(default_factory=RegistryConfig)
     adapter_mode: str = "real"
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
 
 
 @dataclass(frozen=True)
-class ResolvedService:
-    """One service flattened against the effective global settings.
+class ResolvedService(ServiceConfig, Settings):
+    """One service's own fields, the run-wide ``kerberos_realm`` and
+    ``state_dir``, and its :class:`Settings` with every global default and
+    per-service override applied.
 
     Self-contained: downstream stages never consult GlobalConfig again.
     """
 
-    name: str
-    account: str
-    experiment: str
-    role: str
-    keytab_path: str
-    principal_user: str
-    principal_purpose: str
-    principal_host: str
-    kerberos_realm: str
-    credd_hosts: tuple[str, ...]
-    nodes: tuple[str, ...]
-    token_issuer: str
-    stakeholder_emails: tuple[str, ...]
-    state_dir: str
-    tmp_dir: str
-    transfer_parallelism: int
-    timeouts: StageTimeouts
-    retry: RetryPolicy
-    token_lifetimes: TokenLifetimes
-    commands: CommandTemplates
-    destination_templates: DestinationTemplates
-    default_token_path: str
-    token_prefix_check: bool
-    oidc_prompt_regex: str
+    kerberos_realm: str = field(kw_only=True)
+    state_dir: str = field(kw_only=True)
 
-
-# GlobalConfig fields a service may override: a flat field by its name, a
-# member of a group by ``group.member``. One transfer adapter serves every
-# service, so the transfer command is run-wide.
-_OVERRIDABLE = ("transfer_parallelism", "tmp_dir", "default_token_path", "token_prefix_check",
-                "oidc_prompt_regex", "timeouts", "retry", "token_lifetimes", "commands",
-                "destination_templates")
 
 # The placeholders each template's renderer supplies; a template naming any
 # other fails the load.
@@ -451,7 +433,8 @@ def _check_invariants(value: Any, path: str) -> None:
 def _override_check(key: str, path: str) -> _Check:
     """The validator of the overridable field named by the dotted ``key``."""
     head, dot, member = key.partition(".")
-    spec = _schema(GlobalConfig)[head] if head in _OVERRIDABLE else None
+    overridable = head in {f.name for f in dataclasses.fields(Settings)}
+    spec = _schema(GlobalConfig)[head] if overridable else None
     if spec is None or key == "commands.transfer" or (dot if spec.group is None else not member):
         raise ValidationError(f"{path}: not an overridable field")
     if spec.group is None:

@@ -51,7 +51,6 @@ class FailureCounter:
     service: str
     node: str
     consecutive_failures: int
-    last_attempt_at: float
     last_notified_count: int
 
 
@@ -95,10 +94,13 @@ class Store:
                 " service TEXT NOT NULL,"
                 " node TEXT NOT NULL,"
                 " consecutive_failures INTEGER NOT NULL,"
-                " last_attempt_at REAL NOT NULL,"
                 " last_notified_count INTEGER NOT NULL,"
                 " PRIMARY KEY (service, node))"
             )
+            # A store written before counters lost their unread timestamp.
+            columns = [row[1] for row in self._conn.execute("PRAGMA table_info(failure_counters)")]
+            if "last_attempt_at" in columns:
+                self._conn.execute("ALTER TABLE failure_counters DROP COLUMN last_attempt_at")
         except sqlite3.DatabaseError as exc:
             self._release_lock()
             raise CorruptStore(
@@ -172,33 +174,30 @@ class Store:
 
         Success resets both the streak and the notification watermark;
         failure extends the streak by one. Returns the post-update state.
+        Nothing reads ``now``; the benchmark's smoke test stubs this method
+        with that signature, so it goes when that test next changes.
         """
-        if success:
-            failures, notified = 0, 0
-        else:
-            old = self.get_counter(service, node) or FailureCounter(service, node, 0, now, 0)
-            failures, notified = old.consecutive_failures + 1, old.last_notified_count
-        self._conn.execute(
+        failures, notified = self._conn.execute(
             "INSERT INTO failure_counters"
-            " (service, node, consecutive_failures, last_attempt_at, last_notified_count)"
-            " VALUES (?, ?, ?, ?, ?)"
+            " (service, node, consecutive_failures, last_notified_count)"
+            " VALUES (:service, :node, :failed, 0)"
             " ON CONFLICT(service, node) DO UPDATE SET"
-            " consecutive_failures=excluded.consecutive_failures,"
-            " last_attempt_at=excluded.last_attempt_at,"
-            " last_notified_count=excluded.last_notified_count",
-            (service, node, failures, now, notified),
-        )
-        return FailureCounter(service, node, failures, now, notified)
+            " consecutive_failures = CASE WHEN :failed THEN consecutive_failures + 1 ELSE 0 END,"
+            " last_notified_count = CASE WHEN :failed THEN last_notified_count ELSE 0 END"
+            " RETURNING consecutive_failures, last_notified_count",
+            {"service": service, "node": node, "failed": int(not success)},
+        ).fetchone()
+        return FailureCounter(service, node, failures, notified)
 
     def get_counter(self, service: str, node: str) -> Optional[FailureCounter]:
         row = self._conn.execute(
-            "SELECT consecutive_failures, last_attempt_at, last_notified_count"
+            "SELECT consecutive_failures, last_notified_count"
             " FROM failure_counters WHERE service = ? AND node = ?",
             (service, node),
         ).fetchone()
         if row is None:
             return None
-        return FailureCounter(service, node, int(row[0]), float(row[1]), int(row[2]))
+        return FailureCounter(service, node, int(row[0]), int(row[1]))
 
     def mark_notified(self, service: str, node: str) -> None:
         """Acknowledge a sent notification: watermark := current streak."""
@@ -220,12 +219,10 @@ class Store:
 
     def counters(self) -> list[FailureCounter]:
         rows = self._conn.execute(
-            "SELECT service, node, consecutive_failures, last_attempt_at,"
-            " last_notified_count FROM failure_counters ORDER BY service, node"
+            "SELECT service, node, consecutive_failures, last_notified_count"
+            " FROM failure_counters ORDER BY service, node"
         ).fetchall()
-        return [
-            FailureCounter(r[0], r[1], int(r[2]), float(r[3]), int(r[4])) for r in rows
-        ]
+        return [FailureCounter(r[0], r[1], int(r[2]), int(r[3])) for r in rows]
 
 
 def open_store(state_dir: str) -> Store:

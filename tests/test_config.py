@@ -16,6 +16,7 @@ from managed_tokens.config import (
     ENV_METRICS_GATEWAY_URL,
     ENV_STATE_DIR,
     ParseError,
+    Settings,
     UnknownService,
     ValidationError,
     load_config,
@@ -221,6 +222,23 @@ class TestOverrides:
         svc = resolve_service(cfg, "dune_production")
         for field in dataclasses.fields(svc):
             assert getattr(svc, field.name) is not None
+
+    def test_overridable_fields_are_the_settings_fields(self):
+        assert {f.name for f in dataclasses.fields(Settings)} == {
+            "tmp_dir", "transfer_parallelism", "timeouts", "retry", "token_lifetimes",
+            "commands", "destination_templates", "default_token_path",
+            "token_prefix_check", "oidc_prompt_regex"}
+
+    @pytest.mark.parametrize("key,value", [
+        ("state_dir", "/elsewhere"),
+        ("kerberos_realm", "OTHER.ORG"),
+        ("commands.transfer", "scp {local} {node}:{remote}"),
+    ])
+    def test_run_wide_fields_are_not_overridable(self, site, key, value):
+        site.add_service("dune_production", overrides={key: value})
+        with pytest.raises(ValidationError,
+                           match=rf"overrides\.{key}: not an overridable field"):
+            site.config()
 
 
 class TestEnvironmentOverrides:

@@ -62,7 +62,7 @@ KEY = ("dune_production", "submit1.example.org")
 def streak(failures, notified=0, service="dune_production",
            node="submit1.example.org"):
     """The counters a run saved, holding one (service, node) counter."""
-    return {(service, node): FailureCounter(service, node, failures, 0.0, notified)}
+    return {(service, node): FailureCounter(service, node, failures, notified)}
 
 
 class TestAggregate:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sqlite3
 import stat
@@ -187,11 +188,6 @@ class TestFailureCounters:
         assert counter.consecutive_failures == 0
         assert counter.last_notified_count == 0
 
-    def test_last_attempt_timestamp_tracks_latest(self, store):
-        store.record_push_outcome("svc", "n", False, now=10.0)
-        store.record_push_outcome("svc", "n", False, now=20.0)
-        assert store.get_counter("svc", "n").last_attempt_at == 20.0
-
     @given(outcomes=st.lists(st.booleans(), max_size=40))
     def test_streak_matches_trailing_failures(self, tmp_path_factory, outcomes):
         root = tmp_path_factory.mktemp("streak")
@@ -210,6 +206,26 @@ class TestFailureCounters:
         else:
             assert counter.consecutive_failures == expected
 
+
+    def test_old_schema_is_migrated_on_open(self, tmp_path):
+        db_dir = tmp_path / "db"
+        db_dir.mkdir(mode=0o700)
+        with contextlib.closing(sqlite3.connect(db_dir / "managed-tokens.sqlite")) as conn:
+            conn.execute("CREATE TABLE failure_counters (service TEXT NOT NULL,"
+                         " node TEXT NOT NULL, consecutive_failures INTEGER NOT NULL,"
+                         " last_attempt_at REAL NOT NULL, last_notified_count INTEGER NOT NULL,"
+                         " PRIMARY KEY (service, node))")
+            conn.executemany("INSERT INTO failure_counters VALUES (?, ?, ?, ?, ?)",
+                             [("svc", "n1", 4, 10.0, 3), ("svc", "n2", 1, 20.0, 0)])
+            conn.commit()
+        with open_store(str(tmp_path)) as s:
+            assert s.counters() == [FailureCounter("svc", "n1", 4, 3),
+                                    FailureCounter("svc", "n2", 1, 0)]
+            counter = s.record_push_outcome("svc", "n1", False, now=30.0)
+        assert counter == FailureCounter("svc", "n1", 5, 3)
+        with contextlib.closing(sqlite3.connect(db_dir / "managed-tokens.sqlite")) as conn:
+            columns = [row[1] for row in conn.execute("PRAGMA table_info(failure_counters)")]
+        assert columns == ["service", "node", "consecutive_failures", "last_notified_count"]
 
 class TestPruneCounters:
     def test_only_the_kept_pairs_remain(self, store):
@@ -247,8 +263,8 @@ class TestTransaction:
                 s.record_push_outcome("svc", "n1", False, now=1.0)
                 s.record_push_outcome("svc", "n2", True, now=1.0)
         with open_store(str(tmp_path)) as s:
-            assert s.counters() == [FailureCounter("svc", "n1", 1, 1.0, 0),
-                                    FailureCounter("svc", "n2", 0, 1.0, 0)]
+            assert s.counters() == [FailureCounter("svc", "n1", 1, 0),
+                                    FailureCounter("svc", "n2", 0, 0)]
 
     def test_rollback_keeps_earlier_rows_and_a_later_write_persists(self, tmp_path):
         with open_store(str(tmp_path)) as s:
@@ -260,13 +276,13 @@ class TestTransaction:
                     raise StoreError("disk full")
             s.upsert_uid("duneprod", 4521, now=3.0)
         with open_store(str(tmp_path)) as s:
-            assert s.counters() == [FailureCounter("svc", "n1", 1, 1.0, 0)]
+            assert s.counters() == [FailureCounter("svc", "n1", 1, 0)]
             assert s.lookup_uid("duneprod") == 4521
 
 
 class TestNotificationDue:
     def make(self, failures, notified):
-        return FailureCounter("svc", "n", failures, 0.0, notified)
+        return FailureCounter("svc", "n", failures, notified)
 
     @pytest.mark.parametrize("threshold", [1, 2, 3, 4])
     def test_full_enumeration(self, threshold):
