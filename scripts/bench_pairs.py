@@ -12,8 +12,9 @@ and every other entry is kept, so workloads can be measured one at a time.
         --workload flaky_cold --seeds 1-10 --traced-seeds 1-2 --seconds 30 \\
         --claim setup_s
 
-Only the benchmark is called; it is never edited. Exits 1 if a run fails
-or its correctness gate does not hold.
+Every metric's line ends with its verdict (see :func:`verdict`). Only the
+benchmark is called; it is never edited. Exits 1 if a run fails or its
+correctness gate does not hold.
 """
 
 from __future__ import annotations
@@ -70,6 +71,38 @@ def summary(values: list[float]) -> dict[str, float]:
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float | None = None, claimed: bool = False) -> str:
+    """The verdict on one metric's paired runs, ``parent[i]`` and
+    ``change[i]`` on the same seed:
+
+    - ``WORSE THAN BOUND``: the change's median is worse than the parent's by
+      more than ``bound``, relative to the parent's median;
+    - for the claimed metric, ``holds`` when the change wins at least nine
+      tenths of the pairs, ties counting for neither side, and the medians
+      differ by more than the parent's interquartile range; else ``not met``;
+    - ``UNRESOLVED``: the parent's interquartile range, relative to its
+      median, is wider than ``bound``, and not every change run beats every
+      parent run;
+    - else ``within bound``, or ``no bound`` for a metric without one.
+    """
+    sign = 1 if better == "lower" else -1  # sign * value: lower is better
+    parent_summary, change_summary = summary(parent), summary(change)
+    p, c = parent_summary["median"], change_summary["median"]
+    iqr = parent_summary["q3"] - parent_summary["q1"]
+    if bound is not None and p and sign * (c - p) / abs(p) > bound:
+        return "WORSE THAN BOUND"
+    if claimed:
+        wins = sum(sign * (after - before) < 0 for before, after in zip(parent, change))
+        return "holds" if 10 * wins >= 9 * len(parent) and abs(c - p) > iqr else "not met"
+    if bound is None:
+        return "no bound"
+    beats_every_run = max(sign * v for v in change) < min(sign * v for v in parent)
+    if p and iqr / abs(p) > bound and not beats_every_run:
+        return "UNRESOLVED"
+    return "within bound"
+
+
 def measure(parent: Path, change: Path, command: list[str], workload: str,
             seeds: list[int], seconds: float, trace: int,
             definitions: dict[str, dict[str, Any]]) -> tuple[dict[str, Any], dict[str, Any]]:
@@ -117,20 +150,18 @@ def measure(parent: Path, change: Path, command: list[str], workload: str,
             "metrics": out}, machine
 
 
-def report(workload: str, block: dict[str, Any]) -> None:
-    """One line per metric: medians, relative change, wins, and the bound."""
+def report(workload: str, block: dict[str, Any], claim: str | None = None) -> None:
+    """One line per metric: medians, relative change, wins, and its verdict."""
     pairs = block["runs_per_side"]
     for name, m in block["metrics"].items():
         p, c = m["parent_summary"]["median"], m["change_summary"]["median"]
         rel = (c - p) / p if p else 0.0
-        worse = rel if m["better"] == "lower" else -rel
-        flag = ""
-        if "bound" in m and worse > m["bound"]:
-            flag = "  WORSE THAN BOUND"
         iqr = m["parent_summary"]["q3"] - m["parent_summary"]["q1"]
+        outcome = verdict(m["parent"], m["change"], m["better"], m.get("bound"),
+                          claimed=name == claim)
         print(f"{workload:14} {name:42} {p:>12.6g} -> {c:<12.6g} {rel:+7.1%} "
               f"wins {m['change_wins']}/{pairs} ties {m['ties']} "
-              f"|delta| {'>' if abs(c - p) > iqr else '<='} parent IQR{flag}")
+              f"|delta| {'>' if abs(c - p) > iqr else '<='} parent IQR  {outcome}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -178,8 +209,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     workloads[args.workload] = entry
     out_path.write_text(json.dumps(doc, indent=1) + "\n")
-    for block in entry.values():
-        report(args.workload, block)
+    for kind, block in entry.items():  # a claim is judged on the untraced runs
+        report(args.workload, block, args.claim if kind == "end_to_end" else None)
     print(f"wrote {out_path}", file=sys.stderr)
     return 0
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import os
-import shlex
 import smtplib
 import subprocess
 from email.message import EmailMessage
@@ -20,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 import requests
 
 from . import simkit
-from .config import GlobalConfig, resolve_service
+from .config import GlobalConfig, command_words, resolve_service
 from .credentials import render_command
 from .interfaces import (
     AdapterBundle,
@@ -113,6 +112,10 @@ class RequestsHttpAdapter:
             raise TransportError(str(exc)) from exc
         return response.status_code, response.text
 
+    def close(self) -> None:
+        """Close the session's pooled connections."""
+        self._session.close()
+
 
 class SmtpNotificationSink:
     """Plain-text mail through an SMTP relay; one connection per message."""
@@ -136,21 +139,23 @@ class SmtpNotificationSink:
 
 def build_real_bundle(config: GlobalConfig) -> AdapterBundle:
     runner = RealCommandRunner()
+    http = RequestsHttpAdapter(ca_bundle=config.registry.ca_bundle)
     return AdapterBundle(
         runner=runner,
         transfer=CommandTransferAdapter(config.commands.transfer, runner),
-        http=RequestsHttpAdapter(ca_bundle=config.registry.ca_bundle),
+        http=http,
         sink=SmtpNotificationSink(
             config.notification.smtp_server,
             config.notification.smtp_port,
             config.notification.from_address,
         ),
         clock=SystemClock(),
+        close=http.close,
     )
 
 
 def _command_basename(template: str) -> str:
-    return os.path.basename(shlex.split(template)[0])
+    return os.path.basename(command_words(template)[0])
 
 
 def build_simulation_bundle(config: GlobalConfig) -> AdapterBundle:

@@ -135,8 +135,8 @@ def format_report(report: RunReport, dry_run: bool = False) -> str:
 
 def _main(parser: argparse.ArgumentParser, argv: Optional[Sequence[str]],
           run: Callable[[argparse.Namespace, GlobalConfig, AdapterBundle], int]) -> int:
-    """Parse, load the config, build the adapters, then ``run``; every setup
-    failure, the state store's included, exits 2."""
+    """Parse, load the config, build the adapters, then ``run`` and close the
+    adapters; every setup failure, the state store's included, exits 2."""
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -146,11 +146,14 @@ def _main(parser: argparse.ArgumentParser, argv: Optional[Sequence[str]],
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SETUP
+    deps = adapters.build_bundle(config)
     try:
-        return run(args, config, adapters.build_bundle(config))
+        return run(args, config, deps)
     except FatalSetupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SETUP
+    finally:
+        deps.close()
 
 
 def _token_push(args: argparse.Namespace, config: GlobalConfig,

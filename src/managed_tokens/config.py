@@ -15,6 +15,9 @@ failing field by its path. The fields of :class:`Settings` are the ones a
 service may override: :class:`GlobalConfig` inherits them as the global
 defaults, and workers receive a :class:`ResolvedService`, one capability set
 with those settings resolved, every per-service override already applied.
+A template names only the placeholders its renderer supplies, checked at
+load; :func:`placeholders` builds a service's values for every one of them
+but the storer's per-call ``{credd}``, and nothing else does.
 
 Durations may be written as bare seconds (``180``) or with a unit suffix
 (``"30s"``, ``"3h"``, ``"7d"``); they are normalized to float seconds.
@@ -218,6 +221,37 @@ DESTINATION_PLACEHOLDERS = ("tmp_dir", "uid", "issuer", "role", "service", "acco
 TOKEN_PATH_PLACEHOLDERS = ("tmp_dir", "uid")
 UID_ENDPOINT_PLACEHOLDERS = ("account",)
 
+
+def placeholders(svc: ResolvedService, uid: int) -> dict[str, Any]:
+    """The values the ticket, storer, destination and token-path templates of
+    ``svc`` may name, for the account's ``uid``: every one but the storer's
+    per-call ``{credd}``. ``{cache}`` is the service's own Kerberos cache, so
+    concurrent services never share credentials; ``{uid}`` stays an integer."""
+    return {
+        "service": svc.name,
+        "keytab": svc.keytab_path,
+        "principal": (f"{svc.principal_user}/{svc.principal_purpose}/{svc.principal_host}"
+                      f"@{svc.kerberos_realm}"),
+        "cache": os.path.join(svc.state_dir, "krb5cc", svc.name),
+        "account": svc.account,
+        "experiment": svc.experiment,
+        "role": svc.role,
+        "issuer": svc.token_issuer,
+        "vault_local_seconds": str(int(svc.token_lifetimes.vault_local)),
+        "vault_credd_seconds": str(int(svc.token_lifetimes.vault_credd)),
+        "tmp_dir": svc.tmp_dir,
+        "uid": uid,
+    }
+
+
+@functools.cache
+def command_words(template: str) -> tuple[str, ...]:
+    """A command template split into words with shell quoting rules, once per
+    distinct template: config load, every command run and the simulation's
+    routing share the split."""
+    return tuple(shlex.split(template))
+
+
 _Check = Callable[[Any, str], Any]
 
 
@@ -237,23 +271,23 @@ _bool = _rule(lambda value: isinstance(value, bool), "expected a boolean (true o
 _absolute = _rule(os.path.isabs, "must be an absolute path", _str)
 
 
-def _template(placeholders: tuple[str, ...], command: bool = False,
+def _template(names: tuple[str, ...], command: bool = False,
               absolute: bool = False) -> _Check:
-    """A template that renders from ``placeholders`` alone (``uid`` is an
+    """A template that renders from the placeholders ``names`` alone (``uid`` is an
     integer, ``tmp_dir`` an absolute path, the rest strings); a command
     template must also split into words with shell quoting rules, as its
     renderer splits it, and a path template must render an absolute path."""
-    sample = {name: 0 if name == "uid" else name for name in placeholders}
+    sample = {name: 0 if name == "uid" else name for name in names}
     if "tmp_dir" in sample:
         sample["tmp_dir"] = "/tmp"
 
     def check(value: Any, path: str) -> str:
         value = _str(value, path)
         try:
-            for word in shlex.split(value) if command else (value,):
+            for word in command_words(value) if command else (value,):
                 rendered = word.format(**sample)
         except KeyError as exc:
-            allowed = " ".join(f"{{{name}}}" for name in placeholders)
+            allowed = " ".join(f"{{{name}}}" for name in names)
             raise ValidationError(f"{path}: unknown placeholder {{{exc.args[0]}}} "
                                   f"(allowed: {allowed})") from None
         except (ValueError, IndexError, AttributeError) as exc:

@@ -14,10 +14,10 @@ operator), the staged copy is made owner-only, and with
 ``token_prefix_check`` on it must start with ``hvs.`` or ``s.``. Later
 stages trust the staged file.
 
-Command lines are config templates; each invocation also carries the
-designations downstream tools expect in its environment (credential cache,
-credd host, the shared default token path, and the intended token lifetimes
-in seconds).
+Command lines and the shared token path are config templates, rendered from
+:func:`~.config.placeholders`; each invocation also carries the designations
+downstream tools expect in its environment (credential cache, credd host, the
+shared default token path, and the intended token lifetimes in seconds).
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from __future__ import annotations
 import logging
 import os
 import re
-import shlex
 import shutil
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional
 
-from .config import ResolvedService
+from .config import ResolvedService, command_words, placeholders
 from .interfaces import CommandRunner, Invocation
 
 logger = logging.getLogger(__name__)
@@ -81,66 +80,39 @@ class InteractiveAuthRequired(CredentialError):
 
 
 @dataclass(frozen=True)
-class TicketCache:
-    cache_path: str
-
-    def env(self) -> dict[str, str]:
-        """Environment designation downstream commands inherit."""
-        return {KRB5_CACHE_ENV: f"FILE:{self.cache_path}"}
-
-
-@dataclass(frozen=True)
 class VaultTokenFile:
     path: str
     uid: int
 
 
-def render_principal(svc: ResolvedService) -> str:
-    """Render the service's robot-credential name: user/purpose/host@realm."""
-    return (f"{svc.principal_user}/{svc.principal_purpose}/{svc.principal_host}"
-            f"@{svc.kerberos_realm}")
-
-
-def render_command(template: str, values: Mapping[str, str]) -> tuple[str, ...]:
+def render_command(template: str, values: Mapping[str, Any]) -> tuple[str, ...]:
     """Split a command template into argv with shell quoting rules (so
     ``-e "ssh -o ControlMaster=auto"`` is one argument), then substitute
     placeholders per token (so a value containing spaces stays one argument).
     Config load has checked that the template splits and names only
     placeholders its caller supplies."""
-    return tuple(token.format(**values) for token in shlex.split(template))
-
-
-def ticket_cache_path(svc: ResolvedService) -> str:
-    return os.path.join(svc.state_dir, "krb5cc", svc.name)
+    return tuple(word.format(**values) for word in command_words(template))
 
 
 def staging_path(svc: ResolvedService) -> str:
     return os.path.join(svc.state_dir, "tokens", svc.name, "vaulttoken")
 
 
-def default_token_path(svc: ResolvedService, uid: int) -> str:
-    return svc.default_token_path.format(tmp_dir=svc.tmp_dir, uid=uid)
-
-
-def acquire_ticket(svc: ResolvedService, runner: CommandRunner) -> TicketCache:
-    """Obtain a Kerberos ticket for the service from its keytab.
-
-    The cache path is private to the service, so concurrent pipelines never
-    share credentials.
-    """
+def acquire_ticket(svc: ResolvedService, uid: int, runner: CommandRunner) -> str:
+    """Obtain a Kerberos ticket for the service from its keytab into the
+    service's own cache, ``{cache}`` of :func:`~.config.placeholders`, and
+    return the cache's path."""
     if not os.path.isfile(svc.keytab_path):
         raise KeytabMissing(f"keytab not found at {svc.keytab_path}")
-    cache_dir = os.path.join(svc.state_dir, "krb5cc")
-    os.makedirs(cache_dir, mode=0o700, exist_ok=True)
-    cache = ticket_cache_path(svc)
-    argv = render_command(svc.commands.ticket, {
-        "keytab": svc.keytab_path, "principal": render_principal(svc), "cache": cache,
-        "service": svc.name})
-    inv = runner.run(argv, env_overrides={KRB5_CACHE_ENV: f"FILE:{cache}"},
+    values = placeholders(svc, uid)
+    cache = values["cache"]
+    os.makedirs(os.path.dirname(cache), mode=0o700, exist_ok=True)
+    inv = runner.run(render_command(svc.commands.ticket, values),
+                     env_overrides={KRB5_CACHE_ENV: f"FILE:{cache}"},
                      timeout=svc.timeouts.ticket)
     if inv.exit_code != 0:
         raise CommandFailed(inv)
-    return TicketCache(cache_path=cache)
+    return cache
 
 
 def _oidc_prompt_line(inv: Invocation, pattern: str) -> Optional[str]:
@@ -160,14 +132,10 @@ def _file_identity(path: str) -> Optional[tuple[int, int, int]]:
     return st.st_ino, st.st_mtime_ns, st.st_size
 
 
-def store_vault_tokens(
-    svc: ResolvedService,
-    uid: int,
-    ticket: TicketCache,
-    runner: CommandRunner,
-) -> VaultTokenFile:
-    """Run the vault-storer once per credd host, then stage the resulting
-    token. The caller must not run two of these at once.
+def store_vault_tokens(svc: ResolvedService, uid: int, runner: CommandRunner) -> VaultTokenFile:
+    """Run the vault-storer once per credd host with the ticket
+    :func:`acquire_ticket` left in the service's cache, then stage the
+    resulting token. The caller must not run two of these at once.
 
     The storer writes its token at the shared per-user default location;
     after the last credd host succeeds that file is *moved* to
@@ -180,30 +148,19 @@ def store_vault_tokens(
     ``hvs.``/``s.`` prefix raises :class:`TokenRejected`, so it is never
     pushed.
     """
-    shared_path = default_token_path(svc, uid)
+    values = placeholders(svc, uid)
+    shared_path = svc.default_token_path.format(**values)
     before = _file_identity(shared_path)
-    values = {
-        "service": svc.name,
-        "keytab": svc.keytab_path,
-        "principal": render_principal(svc),
-        "cache": ticket.cache_path,
-        "account": svc.account,
-        "experiment": svc.experiment,
-        "role": svc.role,
-        "issuer": svc.token_issuer,
-        "vault_local_seconds": str(int(svc.token_lifetimes.vault_local)),
-        "vault_credd_seconds": str(int(svc.token_lifetimes.vault_credd)),
+    env = {
+        KRB5_CACHE_ENV: f"FILE:{values['cache']}",
+        DEFAULT_TOKEN_PATH_ENV: shared_path,
+        VAULT_LOCAL_SECONDS_ENV: values["vault_local_seconds"],
+        VAULT_CREDD_SECONDS_ENV: values["vault_credd_seconds"],
     }
     for credd in svc.credd_hosts:
-        argv = render_command(svc.commands.storer, {**values, "credd": credd})
-        env = {
-            **ticket.env(),
-            CREDD_HOST_ENV: credd,
-            DEFAULT_TOKEN_PATH_ENV: shared_path,
-            VAULT_LOCAL_SECONDS_ENV: values["vault_local_seconds"],
-            VAULT_CREDD_SECONDS_ENV: values["vault_credd_seconds"],
-        }
-        inv = runner.run(argv, env_overrides=env, timeout=svc.timeouts.vault_store)
+        inv = runner.run(render_command(svc.commands.storer, {**values, "credd": credd}),
+                         env_overrides={**env, CREDD_HOST_ENV: credd},
+                         timeout=svc.timeouts.vault_store)
         prompt = _oidc_prompt_line(inv, svc.oidc_prompt_regex)
         if prompt is not None:
             raise InteractiveAuthRequired(prompt)

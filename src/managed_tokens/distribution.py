@@ -15,7 +15,7 @@ concurrent retries from synchronizing; nothing caps the window. Waits are
 scheduled on ``Clock.monotonic``, so a wall clock stepped back does not
 stretch them. Once the run's cancel event is set no attempt starts: the
 attempts in flight finish, and every node still unsettled is settled as
-:data:`ABORTED`. A backoff sleep already begun is waited out.
+:data:`ABORTED`. A backoff sleep already begun wakes when the event is set.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Collection, Optional
 
-from .config import ResolvedService
+from .config import ResolvedService, placeholders
 from .credentials import VaultTokenFile
 from .interfaces import Clock, TransferAdapter, TransferError, describe_error
 
@@ -51,14 +51,7 @@ class PushOutcome:
 def compute_destinations(svc: ResolvedService, uid: int) -> tuple[str, str]:
     """Render a service's two remote paths, the same on every node, from the
     configured templates: (user-style, uid/issuer/role-style)."""
-    values = {
-        "tmp_dir": svc.tmp_dir,
-        "uid": uid,
-        "issuer": svc.token_issuer,
-        "role": svc.role,
-        "service": svc.name,
-        "account": svc.account,
-    }
+    values = placeholders(svc, uid)
     paths = (svc.destination_templates.user.format(**values),
              svc.destination_templates.role.format(**values))
     if paths[0] == paths[1]:
@@ -161,7 +154,7 @@ class PushScheduler:
             self._start()
         elif self._backoff:
             due, _, push, i = heapq.heappop(self._backoff)
-            self._clock.sleep(due - self._clock.monotonic())
+            self._clock.sleep(due - self._clock.monotonic(), until=self._cancel)
             push.ready.append(i)
         finished, self._finished = self._finished, []
         return finished, done

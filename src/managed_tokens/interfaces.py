@@ -12,9 +12,10 @@ receives a :class:`Clock`, which is how hermetic runs stay deterministic.
 from __future__ import annotations
 
 import random
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Protocol
+from typing import Callable, Mapping, Optional, Protocol
 
 
 class TransportError(Exception):
@@ -64,7 +65,8 @@ class Clock(Protocol):
         """Seconds on a clock that never steps back, for scheduling waits."""
         ...
 
-    def sleep(self, seconds: float) -> None:
+    def sleep(self, seconds: float, until: Optional[threading.Event] = None) -> None:
+        """Wait ``seconds``, or less if the event ``until`` is set meanwhile."""
         ...
 
 
@@ -77,8 +79,10 @@ class SystemClock:
     def monotonic(self) -> float:
         return time.monotonic()
 
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
+    def sleep(self, seconds: float, until: Optional[threading.Event] = None) -> None:
+        if until is not None:
+            until.wait(seconds)
+        elif seconds > 0:
             time.sleep(seconds)
 
 
@@ -142,7 +146,8 @@ class AdapterBundle:
     """Every external dependency of a run, injected as one value.
 
     ``metrics_http`` defaults to ``http`` when unset; tests point it at a
-    recording gateway. ``rng`` feeds retry jitter only.
+    recording gateway. ``rng`` feeds retry jitter only. ``close`` releases
+    what the adapters hold open: the real bundle's HTTP session.
     """
 
     runner: CommandRunner
@@ -152,6 +157,7 @@ class AdapterBundle:
     clock: Clock
     metrics_http: Optional[HttpAdapter] = None
     rng: random.Random = field(default_factory=random.Random)
+    close: Callable[[], None] = lambda: None
 
     def gateway_http(self) -> HttpAdapter:
         return self.metrics_http if self.metrics_http is not None else self.http

@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 from . import credentials, notifications, observability, registry
 from .config import (ConfigError, GlobalConfig, ResolvedService, UnknownService,
                      resolve_service)
-from .credentials import TicketCache, VaultTokenFile
+from .credentials import VaultTokenFile
 from .distribution import ABORTED, PushOutcome, PushScheduler, ServicePush
 from .interfaces import AdapterBundle, describe_error
 from .registry import RefreshReport
@@ -150,18 +150,17 @@ class _Stages:
             if uid is None:
                 return None
             self.fetched[svc.name] = (svc.account, uid, self.deps.clock.now())
-        ticket = self.stage(
+        cache = self.stage(
             svc.name, "ticket",
-            lambda: credentials.acquire_ticket(svc, self.deps.runner),
-            lambda ticket: f"cache {ticket.cache_path}")
-        return None if ticket is None else storer.submit(self.store_tokens, svc, uid, ticket)
+            lambda: credentials.acquire_ticket(svc, uid, self.deps.runner),
+            lambda cache: f"cache {cache}")
+        return None if cache is None else storer.submit(self.store_tokens, svc, uid)
 
-    def store_tokens(self, svc: ResolvedService, uid: int,
-                     ticket: TicketCache) -> Optional[VaultTokenFile]:
+    def store_tokens(self, svc: ResolvedService, uid: int) -> Optional[VaultTokenFile]:
         """The vault-storer calls; on the storer thread."""
         return self.stage(
             svc.name, "vault_store",
-            lambda: credentials.store_vault_tokens(svc, uid, ticket, self.deps.runner),
+            lambda: credentials.store_vault_tokens(svc, uid, self.deps.runner),
             lambda token: f"staged at {token.path}")
 
     def start_push(self, svc: ResolvedService, token: VaultTokenFile,

@@ -85,7 +85,7 @@ class FixedClock:
     # Bound here, so a subclass that steps ``now`` back leaves it alone.
     monotonic = now
 
-    def sleep(self, seconds: float) -> None:
+    def sleep(self, seconds: float, until: Optional[threading.Event] = None) -> None:
         if self._advance_on_sleep and seconds > 0:
             self.advance(seconds)
 

@@ -157,7 +157,7 @@ class TestRequestsHttpAdapter:
         monkeypatch.setenv("NO_PROXY", "127.0.0.1")
         adapter = RequestsHttpAdapter()
         yield adapter
-        adapter._session.close()
+        adapter.close()
 
     @pytest.fixture
     def base_url(self):
@@ -237,7 +237,7 @@ def test_real_bundle_is_wired_from_the_config(site):
         notification={"smtp_server": "mail.example.org", "smtp_port": 2525,
                       "from_address": "tokens@example.org"})
     bundle = build_bundle(cfg)
-    bundle.http._session.close()
+    bundle.close()
     assert bundle.transfer.template == "scp {local} {node}:{remote}"
     assert bundle.transfer.runner is bundle.runner
     assert bundle.http.ca_bundle == "/etc/ca.pem"

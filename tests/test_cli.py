@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import collections
 import functools
+import shlex
+import socket
 
 import pytest
+import requests
 import yaml
 
-from managed_tokens import orchestrator, simkit, statestore
+from managed_tokens import adapters, orchestrator, simkit, statestore
 from managed_tokens.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
@@ -104,6 +108,25 @@ class TestTokenPush:
         assert code == EXIT_PARTIAL
         # Both stakeholder batches and the admin summary went out.
         assert "notifications sent: 3" in out
+
+    def test_each_command_template_is_split_once(self, sim_site, capsys, monkeypatch):
+        override = "condor_vault_storer -d {service}"
+        sim_site.add_service("nova_production", overrides={"commands.storer": override})
+        splits = collections.Counter()
+        split = shlex.split
+
+        def counting_split(text, *args, **kwargs):
+            splits[text] += 1
+            return split(text, *args, **kwargs)
+
+        monkeypatch.setattr(shlex, "split", counting_split)
+        code = main_token_push(["--config", sim_config(sim_site)])
+        assert code == EXIT_OK
+        assert "3 service(s), 0 with failures" in capsys.readouterr().out
+        # Load, routing and three runs of each command; a template split
+        # before this test is not split again.
+        assert splits[override] == 1
+        assert max(splits.values()) == 1
 
     def test_service_subset(self, sim_site, capsys):
         code = main_token_push(["--config", sim_config(sim_site),
@@ -205,6 +228,35 @@ class TestRefreshUids:
 
     def test_missing_config(self, capsys):
         assert main_refresh_uids([]) == EXIT_SETUP
+
+    def test_real_http_session_is_closed(self, site, capsys, monkeypatch):
+        # Talk to 127.0.0.1 directly, whatever proxy the environment names.
+        for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY",
+                     "http_proxy", "https_proxy", "all_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        closed = []
+        close = requests.Session.close
+
+        def recording_close(session):
+            closed.append(session)
+            close(session)
+
+        built = []
+        build = adapters.build_real_bundle
+        monkeypatch.setattr(requests.Session, "close", recording_close)
+        monkeypatch.setattr(adapters, "build_real_bundle",
+                            lambda config: built.append(build(config)) or built[-1])
+        site.add_service("dune_production")
+        config = site.config_path(adapter_mode="real",
+                                  registry={"base_url": f"http://127.0.0.1:{port}",
+                                            "timeout": "5s"})
+        assert main_refresh_uids(["--config", config]) == EXIT_PARTIAL
+        (bundle,) = built
+        assert bundle.http._session in closed
 
     def test_version_flag(self, capsys):
         assert main_refresh_uids(["--version"]) == EXIT_OK

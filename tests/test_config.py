@@ -781,8 +781,8 @@ class TestTemplatePlaceholders:
         runner = simkit.scripted_runner(simkit.always_succeed(),
                                         side_effects=simkit.write_token_from_env(),
                                         clock=simkit.FixedClock())
-        ticket = credentials.acquire_ticket(svc, runner)
-        credentials.store_vault_tokens(svc, 4521, ticket, runner)
+        credentials.acquire_ticket(svc, 4521, runner)
+        credentials.store_vault_tokens(svc, 4521, runner)
         adapters.CommandTransferAdapter(cfg.commands.transfer, runner).put(
             "/local/token", "submit1.example.org", "/remote/token")
         kinit, storer, transfer = (entry.args for entry in runner.log.entries())
@@ -801,7 +801,29 @@ class TestTemplatePlaceholders:
                                     "uid_endpoint_template": endpoint})
         svc = resolve_service(cfg, "dune_production")
         rendered = [*distribution.compute_destinations(svc, 4521),
-                    credentials.default_token_path(svc, 4521)]
+                    svc.default_token_path.format(**config_mod.placeholders(svc, 4521))]
         assert not any("{" in value for value in rendered)
         http = simkit.fake_registry({"duneprod": 4521}, endpoint_template=endpoint)
         assert registry.fetch_uid(cfg.registry, http, "duneprod") == 4521
+
+    def test_one_map_holds_every_rendered_placeholder(self, site):
+        site.add_service("dune_production")
+        svc = resolve_service(site.config(), "dune_production")
+        named = {*config_mod.TICKET_PLACEHOLDERS, *config_mod.STORER_PLACEHOLDERS,
+                 *config_mod.DESTINATION_PLACEHOLDERS, *config_mod.TOKEN_PATH_PLACEHOLDERS}
+        assert {*config_mod.placeholders(svc, 4521), "credd"} == named
+
+    def test_storer_and_destinations_render_the_same_values(self, site):
+        site.add_service("dune_production", overrides={
+            "commands.storer": words("condor_vault_storer", config_mod.STORER_PLACEHOLDERS),
+            "destination_templates.user": "/{account}/{issuer}/{role}/user",
+            "destination_templates.role": "/{account}/{issuer}/{role}/role"})
+        svc = resolve_service(site.config(), "dune_production")
+        runner = simkit.scripted_runner(simkit.always_succeed(),
+                                        side_effects=simkit.write_token_from_env(),
+                                        clock=simkit.FixedClock())
+        credentials.store_vault_tokens(svc, 4521, runner)
+        (storer,) = (entry.args for entry in runner.log.entries())
+        rendered = dict(word.split("=", 1) for word in storer[1:])
+        stem = f"/{rendered['account']}/{rendered['issuer']}/{rendered['role']}"
+        assert distribution.compute_destinations(svc, 4521) == (stem + "/user", stem + "/role")

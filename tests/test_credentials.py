@@ -7,21 +7,17 @@ import os
 import pytest
 
 from managed_tokens import simkit
-from managed_tokens.config import CommandTemplates, resolve_service
+from managed_tokens.config import CommandTemplates, placeholders, resolve_service
 from managed_tokens.credentials import (
     CommandFailed,
     InteractiveAuthRequired,
     KeytabMissing,
-    TicketCache,
     TokenNotProduced,
     TokenRejected,
     acquire_ticket,
-    default_token_path,
     render_command,
-    render_principal,
     staging_path,
     store_vault_tokens,
-    ticket_cache_path,
 )
 from managed_tokens.interfaces import CommandTimeout, Invocation
 
@@ -44,8 +40,12 @@ def one_service(site, name="dune_production", **add_kwargs):
     return resolve_service(site.config(), name)
 
 
-def make_ticket(svc) -> TicketCache:
-    return TicketCache(cache_path=ticket_cache_path(svc))
+def ticket_cache_path(svc) -> str:
+    return os.path.join(svc.state_dir, "krb5cc", svc.name)
+
+
+def default_token_path(svc, uid: int) -> str:
+    return os.path.join(svc.tmp_dir, f"vt_u{uid}")
 
 
 STALE_TOKEN = b"hvs.STALE-token-from-yesterday\n"
@@ -64,12 +64,13 @@ def plant_stale_token(svc, uid: int) -> str:
 
 class TestPrincipal:
     def test_rendered_form(self, site):
-        assert render_principal(one_service(site)) == (
+        assert placeholders(one_service(site), 4521)["principal"] == (
             "duneprod/managedtokens/tokens.example.org@EXAMPLE.ORG")
 
     def test_service_principal_uses_service_fields(self, site):
         svc = one_service(site, "mu2e_production")
-        assert render_principal(svc) == "mu2eprod/managedtokens/tokens.example.org@EXAMPLE.ORG"
+        assert placeholders(svc, 4521)["principal"] == (
+            "mu2eprod/managedtokens/tokens.example.org@EXAMPLE.ORG")
 
 
 class TestRenderCommand:
@@ -108,13 +109,11 @@ class TestAcquireTicket:
         svc = one_service(site)
         clock = simkit.FixedClock(start=1000.0)
         runner = simkit.scripted_runner(simkit.always_succeed(), clock=clock)
-        ticket = acquire_ticket(svc, runner)
-        assert ticket.cache_path == os.path.join(
-            svc.state_dir, "krb5cc", "dune_production")
+        cache = acquire_ticket(svc, 4521, runner)
+        assert cache == os.path.join(svc.state_dir, "krb5cc", "dune_production")
         (entry,) = runner.log.entries()
-        assert entry.args[0] == "kinit"
-        assert svc.keytab_path in entry.args
-        assert ticket.env() == {"KRB5CCNAME": f"FILE:{ticket.cache_path}"}
+        assert entry.args == ("kinit", "-k", "-t", svc.keytab_path, "-c", cache,
+                              "duneprod/managedtokens/tokens.example.org@EXAMPLE.ORG")
 
     def test_cache_env_designated_for_the_command(self, site):
         svc = one_service(site)
@@ -122,7 +121,7 @@ class TestAcquireTicket:
         runner = simkit.scripted_runner(simkit.always_succeed(),
                                         side_effects=recorder,
                                         clock=simkit.FixedClock())
-        acquire_ticket(svc, runner)
+        acquire_ticket(svc, 4521, runner)
         (env,) = recorder.envs
         assert env["KRB5CCNAME"] == f"FILE:{ticket_cache_path(svc)}"
 
@@ -132,7 +131,7 @@ class TestAcquireTicket:
         runner = simkit.scripted_runner(simkit.always_succeed(),
                                         clock=simkit.FixedClock())
         with pytest.raises(KeytabMissing, match="keytab"):
-            acquire_ticket(svc, runner)
+            acquire_ticket(svc, 4521, runner)
         assert runner.log.entries() == ()
 
     def test_command_failure_surfaces_stderr(self, site):
@@ -140,7 +139,7 @@ class TestAcquireTicket:
         schedule = simkit.FaultSchedule("t", (simkit.fail("kinit: KDC unreachable"),))
         runner = simkit.scripted_runner(schedule, clock=simkit.FixedClock())
         with pytest.raises(CommandFailed, match="KDC unreachable") as err:
-            acquire_ticket(svc, runner)
+            acquire_ticket(svc, 4521, runner)
         assert err.value.invocation.exit_code == 1
 
     def test_hang_raises_command_timeout(self, site):
@@ -149,7 +148,7 @@ class TestAcquireTicket:
         runner = simkit.scripted_runner(simkit.FaultSchedule("t", (simkit.hang(),)),
                                         clock=clock)
         with pytest.raises(CommandTimeout) as err:
-            acquire_ticket(svc, runner)
+            acquire_ticket(svc, 4521, runner)
         assert err.value.timeout == svc.timeouts.ticket
 
     def test_distinct_services_use_distinct_caches(self, site):
@@ -158,7 +157,7 @@ class TestAcquireTicket:
         cfg = site.config()
         a = resolve_service(cfg, "dune_production")
         b = resolve_service(cfg, "mu2e_production")
-        assert ticket_cache_path(a) != ticket_cache_path(b)
+        assert placeholders(a, 4521)["cache"] != placeholders(b, 4521)["cache"]
         assert staging_path(a) != staging_path(b)
 
 
@@ -170,7 +169,7 @@ class TestStoreVaultTokens:
         runner = simkit.scripted_runner(simkit.always_succeed(),
                                         side_effects=simkit.write_token_from_env(),
                                         clock=clock)
-        token = store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+        token = store_vault_tokens(svc, 4521, runner)
         assert len(runner.log.entries()) == 2
         assert all(e.args == ("condor_vault_storer", "dune_production")
                    for e in runner.log.entries())
@@ -187,7 +186,7 @@ class TestStoreVaultTokens:
         clock = simkit.FixedClock()
         runner = simkit.scripted_runner(simkit.always_succeed(),
                                         side_effects=recorder, clock=clock)
-        store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+        store_vault_tokens(svc, 4521, runner)
         assert [env["_condor_CREDD_HOST"] for env in recorder.envs] == list(credds)
         shared = default_token_path(svc, 4521)
         for env in recorder.envs:
@@ -204,7 +203,7 @@ class TestStoreVaultTokens:
         clock = simkit.FixedClock()
         runner = simkit.scripted_runner(schedule, clock=clock)
         with pytest.raises(CommandFailed, match="CRED_ADD"):
-            store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+            store_vault_tokens(svc, 4521, runner)
         assert len(runner.log.entries()) == 1
         assert not os.path.exists(staging_path(svc))
 
@@ -218,7 +217,7 @@ class TestStoreVaultTokens:
                 return Invocation(tuple(argv), 0, prompt, "")
 
         with pytest.raises(InteractiveAuthRequired) as err:
-            store_vault_tokens(svc, 4521, make_ticket(svc), PromptingRunner())
+            store_vault_tokens(svc, 4521, PromptingRunner())
         assert "vault.example.org" in str(err.value)
         assert not os.path.exists(staging_path(svc))
 
@@ -231,14 +230,14 @@ class TestStoreVaultTokens:
                 return Invocation(tuple(argv), 1, "", prompt)
 
         with pytest.raises(InteractiveAuthRequired):
-            store_vault_tokens(svc, 4521, make_ticket(svc), FailingPromptRunner())
+            store_vault_tokens(svc, 4521, FailingPromptRunner())
 
     def test_exit_zero_without_token_file(self, site):
         svc = one_service(site)
         clock = simkit.FixedClock()
         runner = simkit.scripted_runner(simkit.always_succeed(), clock=clock)
         with pytest.raises(TokenNotProduced, match="vt_u4521"):
-            store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+            store_vault_tokens(svc, 4521, runner)
 
     def test_empty_token_file_counts_as_not_produced(self, site):
         svc = one_service(site)
@@ -247,7 +246,7 @@ class TestStoreVaultTokens:
             simkit.always_succeed(),
             side_effects=simkit.write_token_from_env(content=b""), clock=clock)
         with pytest.raises(TokenNotProduced):
-            store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+            store_vault_tokens(svc, 4521, runner)
 
     def test_token_left_from_an_earlier_run_is_refused_and_kept(self, site):
         svc = one_service(site)
@@ -255,7 +254,7 @@ class TestStoreVaultTokens:
         runner = simkit.scripted_runner(simkit.always_succeed(), clock=simkit.FixedClock())
         with pytest.raises(TokenNotProduced,
                            match=f"token at {shared} predates this storer run"):
-            store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+            store_vault_tokens(svc, 4521, runner)
         with open(shared, "rb") as fh:
             assert fh.read() == STALE_TOKEN  # left for the operator
         assert not os.path.exists(staging_path(svc))
@@ -268,7 +267,7 @@ class TestStoreVaultTokens:
             simkit.always_succeed(),
             side_effects=simkit.write_token_from_env(content=fresh),
             clock=simkit.FixedClock())
-        token = store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+        token = store_vault_tokens(svc, 4521, runner)
         with open(token.path, "rb") as fh:
             assert fh.read() == fresh
         assert not os.path.exists(shared)
@@ -285,11 +284,11 @@ class TestStoreVaultTokens:
             side_effects=simkit.write_token_from_env(content=content),
             clock=simkit.FixedClock())
         if ok:
-            token = store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+            token = store_vault_tokens(svc, 4521, runner)
             assert token.path == staging_path(svc)
         else:
             with pytest.raises(TokenRejected, match="does not start with hvs. or s."):
-                store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+                store_vault_tokens(svc, 4521, runner)
         # Checked after the move: the shared location never keeps the token.
         assert not os.path.exists(default_token_path(svc, 4521))
 
@@ -299,6 +298,6 @@ class TestStoreVaultTokens:
             simkit.always_succeed(),
             side_effects=simkit.write_token_from_env(content=b"eyJhbGciOi"),
             clock=simkit.FixedClock())
-        token = store_vault_tokens(svc, 4521, make_ticket(svc), runner)
+        token = store_vault_tokens(svc, 4521, runner)
         with open(token.path, "rb") as fh:
             assert fh.read() == b"eyJhbGciOi"

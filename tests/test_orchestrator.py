@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import sqlite3
 import sys
 import threading
+import time
 
 import pytest
 
@@ -378,10 +380,10 @@ class TestFailureIsolation:
         site.seed_uids(site.uid_map())
         store_tokens = orchestrator._Stages.store_tokens
 
-        def broken_for_dune(self, svc, uid, ticket):
+        def broken_for_dune(self, svc, uid):
             if svc.name == "dune_production":
                 raise RuntimeError("storer hand-off exploded")
-            return store_tokens(self, svc, uid, ticket)
+            return store_tokens(self, svc, uid)
 
         monkeypatch.setattr(orchestrator._Stages, "store_tokens", broken_for_dune)
         report = run_token_push(cfg, make_bundle())
@@ -695,6 +697,46 @@ class TestGracefulShutdown:
         push = report.per_service["dune_production"][-1]
         assert (push.stage, push.success, push.detail) == (
             "push", False, "failed nodes: down.example.org")
+        with open_store(cfg.state_dir) as store:
+            assert store.counters() == before
+
+    def test_cancel_wakes_a_backoff_sleep(self, site):
+        site.add_service("dune_production", nodes=("down.example.org",),
+                         overrides={"retry.max_attempts": 2, "retry.base_backoff": "30s"})
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+        with open_store(cfg.state_dir) as store:
+            store.record_push_outcome("dune_production", "down.example.org", False, 0.0)
+            before = store.counters()
+        cancel = threading.Event()
+        timers = []
+
+        class CancelDuringSleep(simkit.SystemClock):
+            """Requests shutdown 0.1 s into each sleep."""
+
+            def sleep(self, seconds, *args, **kwargs):
+                timers.append(threading.Timer(0.1, cancel.set))
+                timers[-1].start()
+                super().sleep(seconds, *args, **kwargs)
+
+        class TopOfWindow(random.Random):
+            def uniform(self, a, b):
+                return b
+
+        faults = {"down.example.org": simkit.FaultSchedule(
+            "t", (simkit.fail("no route to host"),))}
+        bundle = make_bundle(clock=CancelDuringSleep(), transfer_faults=faults)
+        started = time.monotonic()
+        report = run_token_push(cfg, dataclasses.replace(bundle, rng=TopOfWindow()),
+                                cancel=cancel)
+        elapsed = time.monotonic() - started
+        for timer in timers:
+            timer.join(timeout=5)
+        assert len(timers) == 1  # the one backoff sleep, of 30 s
+        assert elapsed < 2
+        (outcome,) = report.push_outcomes
+        assert (outcome.success, outcome.attempts, outcome.error) == (
+            False, 1, "aborted: shutdown requested")
         with open_store(cfg.state_dir) as store:
             assert store.counters() == before
 
