@@ -14,6 +14,7 @@ fault schedules without a batch system anywhere near.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -82,11 +83,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="submit nodes per service (default 2)")
     parser.add_argument("--fail-node", metavar="NODE",
                         help="make every push to NODE fail")
-    parser.add_argument("--fault-schedules", metavar="PATH",
+    parser.add_argument("--fault-schedules", metavar="PATH", type=os.path.abspath,
                         help="use an existing fault-schedule file instead")
     parser.add_argument("--threshold", type=int, default=3,
                         help="consecutive-failure notification threshold")
-    parser.add_argument("--out", metavar="DIR",
+    parser.add_argument("--out", metavar="DIR", type=os.path.abspath,
                         help="workspace directory (default: a fresh tempdir)")
     parser.add_argument("--dry-run", action="store_true",
                         help="pass --dry-run through to token-push")

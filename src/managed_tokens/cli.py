@@ -136,17 +136,18 @@ def format_report(report: RunReport, dry_run: bool = False) -> str:
 def _main(parser: argparse.ArgumentParser, argv: Optional[Sequence[str]],
           run: Callable[[argparse.Namespace, GlobalConfig, AdapterBundle], int]) -> int:
     """Parse, load the config, build the adapters, then ``run`` and close the
-    adapters; every setup failure, the state store's included, exits 2."""
+    adapters; every setup failure, a fault-schedule file's and the state
+    store's included, exits 2."""
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return _exit_code(exc)
     try:
         config = _load(args.config, args.verbose)
+        deps = adapters.build_bundle(config)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SETUP
-    deps = adapters.build_bundle(config)
     try:
         return run(args, config, deps)
     except FatalSetupError as exc:

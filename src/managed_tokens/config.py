@@ -9,15 +9,20 @@ validator: ``int`` an integer >= 1, ``float`` a positive duration, ``str`` a
 non-empty string, ``Optional[str]`` that or null, ``bool`` true or false,
 ``tuple[str, ...]`` a list of distinct non-empty strings, and a nested
 dataclass a mapping checked the same way, where null means all its defaults.
-``_CHECKS`` holds the few fields whose rule differs from their type, and
-``_INVARIANTS`` the rules across one group's fields. Every message names the
-failing field by its path. The fields of :class:`Settings` are the ones a
-service may override: :class:`GlobalConfig` inherits them as the global
-defaults, and workers receive a :class:`ResolvedService`, one capability set
-with those settings resolved, every per-service override already applied.
-A template names only the placeholders its renderer supplies, checked at
-load; :func:`placeholders` builds a service's values for every one of them
-but the storer's per-call ``{credd}``, and nothing else does.
+A field whose rule differs from its type states that rule on itself, as
+``Annotated[type, rule]``, and ``_INVARIANTS`` holds the rules across one
+group's fields. Every message names the failing field by its path. The fields
+of :class:`Settings` are the ones a service may override:
+:class:`GlobalConfig` inherits them as the global defaults, and workers
+receive a :class:`ResolvedService`, one capability set with those settings
+resolved, every per-service override already applied.
+
+Every service template (``kinit``, the storer, both destinations and
+``default_token_path``) may name any of :data:`SERVICE_PLACEHOLDERS`, the keys
+of the one map :func:`placeholders` builds per service; the storer may also
+name its per-call ``{credd}``. The transfer command names
+``{local}`` ``{node}`` ``{remote}``, the UID endpoint exactly one
+``{account}``. A template naming any other placeholder fails the load.
 
 Durations may be written as bare seconds (``180``) or with a unit suffix
 (``"30s"``, ``"3h"``, ``"7d"``); they are normalized to float seconds.
@@ -32,7 +37,7 @@ import re
 import shlex
 import typing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, NamedTuple, Optional
+from typing import Annotated, Any, Callable, Mapping, NamedTuple, Optional
 
 import yaml
 
@@ -52,6 +57,14 @@ _DURATION_UNITS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
 # Both feed the same Python resolver and SafeConstructor, so a document
 # loads to the same objects either way; the C one is about ten times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# The values every service template may name: the keys of placeholders().
+SERVICE_PLACEHOLDERS = ("service", "account", "experiment", "role", "issuer", "keytab",
+                        "principal", "cache", "tmp_dir", "uid", "vault_local_seconds",
+                        "vault_credd_seconds")
+STORER_PLACEHOLDERS = (*SERVICE_PLACEHOLDERS, "credd")
+TRANSFER_PLACEHOLDERS = ("local", "node", "remote")
+UID_ENDPOINT_PLACEHOLDERS = ("account",)
 
 
 class ConfigError(Exception):
@@ -81,6 +94,129 @@ def parse_duration(value: Any, path: str) -> float:
         if m:
             return float(m.group(1)) * _DURATION_UNITS.get(m.group(2) or "s", 1.0)
     raise ValidationError(f"{path}: cannot parse duration {value!r}")
+
+
+@functools.cache
+def command_words(template: str) -> tuple[str, ...]:
+    """A command template split into words with shell quoting rules, once per
+    distinct template: config load, every command run and the simulation's
+    routing share the split."""
+    return tuple(shlex.split(template))
+
+
+_Check = Callable[[Any, str], Any]
+
+
+def _rule(ok: Callable[[Any], Any], problem: str,
+          check: _Check = lambda value, path: value) -> _Check:
+    """Run ``check``, then fail with ``problem`` unless ``ok`` holds for its result."""
+    def checked(value: Any, path: str) -> Any:
+        value = check(value, path)
+        if not ok(value):
+            raise ValidationError(f"{path}: {problem}")
+        return value
+    return checked
+
+
+def _optional(check: _Check) -> _Check:
+    return lambda value, path: None if value is None else check(value, path)
+
+
+_str = _rule(lambda value: isinstance(value, str) and value != "", "expected a non-empty string")
+_bool = _rule(lambda value: isinstance(value, bool), "expected a boolean (true or false)")
+_absolute = _rule(os.path.isabs, "must be an absolute path", _str)
+_http_url = _optional(_rule(re.compile(r"^https?://").match, "must be an http(s) URL", _str))
+_adapter_mode = _rule(lambda mode: mode in ("real", "simulation"),
+                      "must be 'real' or 'simulation'")
+
+
+def _template(names: tuple[str, ...], command: bool = False,
+              absolute: bool = False) -> _Check:
+    """A template that renders from the placeholders ``names`` alone (``uid`` is an
+    integer, ``tmp_dir``, ``cache`` and ``keytab`` absolute paths, the rest
+    strings); a command template must also split into words with shell quoting
+    rules, as its renderer splits it, and a path template must render an
+    absolute path."""
+    sample = {name: 0 if name == "uid" else f"/{name}" if name in ("tmp_dir", "cache", "keytab")
+              else name for name in names}
+
+    def check(value: Any, path: str) -> str:
+        value = _str(value, path)
+        try:
+            for word in command_words(value) if command else (value,):
+                rendered = word.format(**sample)
+        except KeyError as exc:
+            allowed = " ".join(f"{{{name}}}" for name in names)
+            raise ValidationError(f"{path}: unknown placeholder {{{exc.args[0]}}} "
+                                  f"(allowed: {allowed})") from None
+        except (ValueError, IndexError, AttributeError) as exc:
+            raise ValidationError(f"{path}: cannot render {value!r}: {exc}") from None
+        if absolute and not os.path.isabs(rendered):
+            raise ValidationError(f"{path}: {value!r} must render an absolute path")
+        return value
+    return check
+
+
+_service_command = _template(SERVICE_PLACEHOLDERS, command=True)
+_service_path = _template(SERVICE_PLACEHOLDERS, absolute=True)
+_uid_endpoint = _rule(lambda template: template.count("{account}") == 1,
+                      "must contain exactly one {account} placeholder",
+                      _template(UID_ENDPOINT_PLACEHOLDERS))
+
+
+def _regex(value: Any, path: str) -> str:
+    value = _str(value, path)
+    try:
+        re.compile(value)
+    except re.error as exc:
+        raise ValidationError(f"{path}: cannot compile {value!r}: {exc}") from None
+    return value
+
+
+def _str_list(value: Any, path: str) -> tuple[str, ...]:
+    if value is None:
+        return ()
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{path}: expected a list of strings")
+    out = tuple(_str(v, f"{path}[{i}]") for i, v in enumerate(value))
+    if len(set(out)) != len(out):
+        raise ValidationError(f"{path}: contains duplicates")
+    return out
+
+
+_non_empty_list = _rule(bool, "must be non-empty", _str_list)
+
+
+def _int(value: Any, path: str, minimum: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: expected an integer")
+    if value < minimum:
+        raise ValidationError(f"{path}: must be >= {minimum}")
+    return value
+
+
+def _mapping(value: Any, path: str) -> Mapping[Any, Any]:
+    """A mapping; null is an empty one, any other non-mapping an error."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{path}: expected a mapping")
+    return value
+
+
+def _uid_map(value: Any, path: str) -> dict[str, int]:
+    return {str(account): _int(uid, f"{path}.{account}", minimum=0)
+            for account, uid in _mapping(value, path).items()}
+
+
+_BY_TYPE: dict[Any, _Check] = {
+    int: _int,
+    float: _rule(lambda seconds: seconds > 0, "must be > 0", parse_duration),
+    str: _str,
+    bool: _bool,
+    tuple[str, ...]: _str_list,
+    Optional[str]: _optional(_str),
+}
 
 
 @dataclass(frozen=True)
@@ -114,8 +250,8 @@ class NotificationConfig:
 
 @dataclass(frozen=True)
 class RegistryConfig:
-    base_url: str = ""
-    uid_endpoint_template: str = "/getUserInfo?username={account}"
+    base_url: Annotated[str, _rule(lambda url: isinstance(url, str), "expected a string")] = ""
+    uid_endpoint_template: Annotated[str, _uid_endpoint] = "/getUserInfo?username={account}"
     uid_json_path: str = "ferry_output.uid"
     timeout: float = 30.0
     ca_bundle: Optional[str] = None
@@ -125,9 +261,11 @@ class RegistryConfig:
 class CommandTemplates:
     """Shell-style templates for the external commands, rendered per call."""
 
-    ticket: str = "kinit -k -t {keytab} -c {cache} {principal}"
-    storer: str = "condor_vault_storer {service}"
-    transfer: str = "rsync -p -e ssh {local} {node}:{remote}"
+    ticket: Annotated[str, _service_command] = "kinit -k -t {keytab} -c {cache} {principal}"
+    storer: Annotated[str, _template(STORER_PLACEHOLDERS, command=True)] = (
+        "condor_vault_storer {service}")
+    transfer: Annotated[str, _template(TRANSFER_PLACEHOLDERS, command=True)] = (
+        "rsync -p -e ssh {local} {node}:{remote}")
 
 
 @dataclass(frozen=True)
@@ -135,16 +273,16 @@ class DestinationTemplates:
     """The two per-node token locations: one keyed only by UID (per-user
     discovery convention), one keyed by UID, issuer, and role."""
 
-    user: str = "{tmp_dir}/vt_u{uid}"
-    role: str = "{tmp_dir}/vt_u{uid}-{issuer}_{role}"
+    user: Annotated[str, _service_path] = "{tmp_dir}/vt_u{uid}"
+    role: Annotated[str, _service_path] = "{tmp_dir}/vt_u{uid}-{issuer}_{role}"
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
     """Settings for the built-in rehearsal adapters (adapter_mode: simulation)."""
 
-    registry_uids: Mapping[str, int] = field(default_factory=dict)
-    fault_schedules: Optional[str] = None
+    registry_uids: Annotated[Mapping[str, int], _uid_map] = field(default_factory=dict)
+    fault_schedules: Annotated[Optional[str], _optional(_absolute)] = None
 
 
 @dataclass(frozen=True)
@@ -154,15 +292,15 @@ class ServiceConfig:
     account: str
     experiment: str
     role: str
-    keytab_path: str
+    keytab_path: Annotated[str, _absolute]
     principal_user: str
     principal_purpose: str
     principal_host: str
-    credd_hosts: tuple[str, ...]
-    nodes: tuple[str, ...]
+    credd_hosts: Annotated[tuple[str, ...], _non_empty_list]
+    nodes: Annotated[tuple[str, ...], _non_empty_list]
     token_issuer: str
     stakeholder_emails: tuple[str, ...] = ()
-    overrides: Mapping[str, Any] = field(default_factory=dict)
+    overrides: Annotated[Mapping[str, Any], _overrides] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -171,30 +309,30 @@ class Settings:
     of a group by ``group.member``. One transfer adapter serves every service,
     so ``commands.transfer`` is run-wide all the same."""
 
-    tmp_dir: str = "/tmp"
+    tmp_dir: Annotated[str, _absolute] = "/tmp"
     transfer_parallelism: int = 4
     timeouts: StageTimeouts = field(default_factory=StageTimeouts)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     token_lifetimes: TokenLifetimes = field(default_factory=TokenLifetimes)
     commands: CommandTemplates = field(default_factory=CommandTemplates)
     destination_templates: DestinationTemplates = field(default_factory=DestinationTemplates)
-    default_token_path: str = "{tmp_dir}/vt_u{uid}"
+    default_token_path: Annotated[str, _service_path] = "{tmp_dir}/vt_u{uid}"
     token_prefix_check: bool = False
-    oidc_prompt_regex: str = r"(?i)(?=.*oidc)(?=.*https?://)"
+    oidc_prompt_regex: Annotated[str, _regex] = r"(?i)(?=.*oidc)(?=.*https?://)"
 
 
 @dataclass(frozen=True, kw_only=True)
 class GlobalConfig(Settings):
     # A non-empty environment variable named by "env" wins over the file.
-    state_dir: str = field(metadata={"env": ENV_STATE_DIR})
+    state_dir: Annotated[str, _absolute] = field(metadata={"env": ENV_STATE_DIR})
     kerberos_realm: str
-    services: Mapping[str, ServiceConfig]
-    metrics_gateway_url: Optional[str] = field(default=None,
-                                               metadata={"env": ENV_METRICS_GATEWAY_URL})
+    services: Annotated[Mapping[str, ServiceConfig], _services]
+    metrics_gateway_url: Annotated[Optional[str], _http_url] = field(
+        default=None, metadata={"env": ENV_METRICS_GATEWAY_URL})
     trace_export: Optional[str] = None
     notification: NotificationConfig = field(default_factory=NotificationConfig)
     registry: RegistryConfig = field(default_factory=RegistryConfig)
-    adapter_mode: str = "real"
+    adapter_mode: Annotated[str, _adapter_mode] = "real"
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
 
 
@@ -211,147 +349,26 @@ class ResolvedService(ServiceConfig, Settings):
     state_dir: str = field(kw_only=True)
 
 
-# The placeholders each template's renderer supplies; a template naming any
-# other fails the load.
-TICKET_PLACEHOLDERS = ("keytab", "principal", "cache", "service")
-STORER_PLACEHOLDERS = (*TICKET_PLACEHOLDERS, "credd", "account", "experiment", "role",
-                       "issuer", "vault_local_seconds", "vault_credd_seconds")
-TRANSFER_PLACEHOLDERS = ("local", "node", "remote")
-DESTINATION_PLACEHOLDERS = ("tmp_dir", "uid", "issuer", "role", "service", "account")
-TOKEN_PATH_PLACEHOLDERS = ("tmp_dir", "uid")
-UID_ENDPOINT_PLACEHOLDERS = ("account",)
-
-
 def placeholders(svc: ResolvedService, uid: int) -> dict[str, Any]:
-    """The values the ticket, storer, destination and token-path templates of
-    ``svc`` may name, for the account's ``uid``: every one but the storer's
-    per-call ``{credd}``. ``{cache}`` is the service's own Kerberos cache, so
-    concurrent services never share credentials; ``{uid}`` stays an integer."""
+    """The values every service template of ``svc`` may name, for the
+    account's ``uid``, keyed as :data:`SERVICE_PLACEHOLDERS`. ``{cache}`` is
+    the service's own Kerberos cache, so concurrent services never share
+    credentials; ``{uid}`` stays an integer."""
     return {
         "service": svc.name,
-        "keytab": svc.keytab_path,
-        "principal": (f"{svc.principal_user}/{svc.principal_purpose}/{svc.principal_host}"
-                      f"@{svc.kerberos_realm}"),
-        "cache": os.path.join(svc.state_dir, "krb5cc", svc.name),
         "account": svc.account,
         "experiment": svc.experiment,
         "role": svc.role,
         "issuer": svc.token_issuer,
-        "vault_local_seconds": str(int(svc.token_lifetimes.vault_local)),
-        "vault_credd_seconds": str(int(svc.token_lifetimes.vault_credd)),
+        "keytab": svc.keytab_path,
+        "principal": (f"{svc.principal_user}/{svc.principal_purpose}/{svc.principal_host}"
+                      f"@{svc.kerberos_realm}"),
+        "cache": os.path.join(svc.state_dir, "krb5cc", svc.name),
         "tmp_dir": svc.tmp_dir,
         "uid": uid,
+        "vault_local_seconds": str(int(svc.token_lifetimes.vault_local)),
+        "vault_credd_seconds": str(int(svc.token_lifetimes.vault_credd)),
     }
-
-
-@functools.cache
-def command_words(template: str) -> tuple[str, ...]:
-    """A command template split into words with shell quoting rules, once per
-    distinct template: config load, every command run and the simulation's
-    routing share the split."""
-    return tuple(shlex.split(template))
-
-
-_Check = Callable[[Any, str], Any]
-
-
-def _rule(ok: Callable[[Any], Any], problem: str,
-          check: _Check = lambda value, path: value) -> _Check:
-    """Run ``check``, then fail with ``problem`` unless ``ok`` holds for its result."""
-    def checked(value: Any, path: str) -> Any:
-        value = check(value, path)
-        if not ok(value):
-            raise ValidationError(f"{path}: {problem}")
-        return value
-    return checked
-
-
-_str = _rule(lambda value: isinstance(value, str) and value != "", "expected a non-empty string")
-_bool = _rule(lambda value: isinstance(value, bool), "expected a boolean (true or false)")
-_absolute = _rule(os.path.isabs, "must be an absolute path", _str)
-
-
-def _template(names: tuple[str, ...], command: bool = False,
-              absolute: bool = False) -> _Check:
-    """A template that renders from the placeholders ``names`` alone (``uid`` is an
-    integer, ``tmp_dir`` an absolute path, the rest strings); a command
-    template must also split into words with shell quoting rules, as its
-    renderer splits it, and a path template must render an absolute path."""
-    sample = {name: 0 if name == "uid" else name for name in names}
-    if "tmp_dir" in sample:
-        sample["tmp_dir"] = "/tmp"
-
-    def check(value: Any, path: str) -> str:
-        value = _str(value, path)
-        try:
-            for word in command_words(value) if command else (value,):
-                rendered = word.format(**sample)
-        except KeyError as exc:
-            allowed = " ".join(f"{{{name}}}" for name in names)
-            raise ValidationError(f"{path}: unknown placeholder {{{exc.args[0]}}} "
-                                  f"(allowed: {allowed})") from None
-        except (ValueError, IndexError, AttributeError) as exc:
-            raise ValidationError(f"{path}: cannot render {value!r}: {exc}") from None
-        if absolute and not os.path.isabs(rendered):
-            raise ValidationError(f"{path}: {value!r} must render an absolute path")
-        return value
-    return check
-
-
-def _regex(value: Any, path: str) -> str:
-    value = _str(value, path)
-    try:
-        re.compile(value)
-    except re.error as exc:
-        raise ValidationError(f"{path}: cannot compile {value!r}: {exc}") from None
-    return value
-
-
-def _str_list(value: Any, path: str) -> tuple[str, ...]:
-    if value is None:
-        return ()
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{path}: expected a list of strings")
-    out = tuple(_str(v, f"{path}[{i}]") for i, v in enumerate(value))
-    if len(set(out)) != len(out):
-        raise ValidationError(f"{path}: contains duplicates")
-    return out
-
-
-def _int(value: Any, path: str, minimum: int = 1) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}: expected an integer")
-    if value < minimum:
-        raise ValidationError(f"{path}: must be >= {minimum}")
-    return value
-
-
-def _optional(check: _Check) -> _Check:
-    return lambda value, path: None if value is None else check(value, path)
-
-
-def _mapping(value: Any, path: str) -> Mapping[Any, Any]:
-    """A mapping; null is an empty one, any other non-mapping an error."""
-    if value is None:
-        return {}
-    if not isinstance(value, Mapping):
-        raise ValidationError(f"{path}: expected a mapping")
-    return value
-
-
-_BY_TYPE: dict[Any, _Check] = {
-    int: _int,
-    float: _rule(lambda seconds: seconds > 0, "must be > 0", parse_duration),
-    str: _str,
-    bool: _bool,
-    tuple[str, ...]: _str_list,
-    Optional[str]: _optional(_str),
-}
-
-
-def _uid_map(value: Any, path: str) -> dict[str, int]:
-    return {str(account): _int(uid, f"{path}.{account}", minimum=0)
-            for account, uid in _mapping(value, path).items()}
 
 
 def _services(value: Any, path: str) -> dict[str, ServiceConfig]:
@@ -364,32 +381,6 @@ def _services(value: Any, path: str) -> dict[str, ServiceConfig]:
 def _overrides(value: Any, path: str) -> dict[str, Any]:
     return {str(key): _override_check(str(key), f"{path}.{key}")(raw, f"{path}.{key}")
             for key, raw in _mapping(value, path).items()}
-
-
-_CHECKS: dict[tuple[type, str], _Check] = {
-    (GlobalConfig, "state_dir"): _absolute,
-    (GlobalConfig, "tmp_dir"): _absolute,
-    (GlobalConfig, "metrics_gateway_url"): _optional(
-        _rule(re.compile(r"^https?://").match, "must be an http(s) URL", _str)),
-    (GlobalConfig, "adapter_mode"): _rule(lambda mode: mode in ("real", "simulation"),
-                                          "must be 'real' or 'simulation'"),
-    (GlobalConfig, "services"): _services,
-    (GlobalConfig, "default_token_path"): _template(TOKEN_PATH_PLACEHOLDERS, absolute=True),
-    (GlobalConfig, "oidc_prompt_regex"): _regex,
-    (CommandTemplates, "ticket"): _template(TICKET_PLACEHOLDERS, command=True),
-    (CommandTemplates, "storer"): _template(STORER_PLACEHOLDERS, command=True),
-    (CommandTemplates, "transfer"): _template(TRANSFER_PLACEHOLDERS, command=True),
-    (DestinationTemplates, "user"): _template(DESTINATION_PLACEHOLDERS, absolute=True),
-    (DestinationTemplates, "role"): _template(DESTINATION_PLACEHOLDERS, absolute=True),
-    (RegistryConfig, "uid_endpoint_template"): _rule(
-        lambda template: template.count("{account}") == 1,
-        "must contain exactly one {account} placeholder", _template(UID_ENDPOINT_PLACEHOLDERS)),
-    (RegistryConfig, "base_url"): _rule(lambda url: isinstance(url, str), "expected a string"),
-    (SimulationConfig, "registry_uids"): _uid_map,
-    (ServiceConfig, "credd_hosts"): _rule(bool, "must be non-empty", _str_list),
-    (ServiceConfig, "nodes"): _rule(bool, "must be non-empty", _str_list),
-    (ServiceConfig, "overrides"): _overrides,
-}
 
 
 def _lifetime_order(lifetimes: TokenLifetimes, path: str) -> None:
@@ -420,16 +411,17 @@ class _Field(NamedTuple):
 
 @functools.cache
 def _schema(cls: type) -> dict[str, _Field]:
-    """The document keys of dataclass ``cls``, each with its validator."""
-    hints = typing.get_type_hints(cls)
+    """The document keys of dataclass ``cls``, each with its validator: the
+    rule its annotation carries, else its group's or its type's."""
+    hints = typing.get_type_hints(cls, include_extras=True)
     schema = {}
     for f in dataclasses.fields(cls):
         if f.metadata.get("from_key"):
             continue
         hint = hints[f.name]
         group = hint if dataclasses.is_dataclass(hint) else None
-        check = _CHECKS.get((cls, f.name)) or (
-            functools.partial(_section, group) if group else _BY_TYPE[hint])
+        check = (hint.__metadata__[0] if typing.get_origin(hint) is Annotated
+                 else functools.partial(_section, group) if group else _BY_TYPE[hint])
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         schema[f.name] = _Field(check, required, f.metadata.get("env"), group)
     return schema

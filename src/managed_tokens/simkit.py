@@ -23,9 +23,9 @@ Fault-schedule files are YAML mappings from a target name to a schedule::
       pattern: [{fail: "registry down"}, succeed]
 
 Pattern entries: ``succeed``, ``hang`` (plain strings), ``{fail: message}``,
-``{delay: seconds}`` (delay then succeed). ``repeat: true`` (the default)
-cycles the pattern forever; with ``repeat: false`` running past the end
-raises :class:`ScheduleExhausted`.
+``{delay: seconds}`` (delay then succeed; a number >= 0). ``repeat``, a YAML
+boolean, defaults to ``true``: cycle the pattern forever; with ``repeat:
+false`` running past the end raises :class:`ScheduleExhausted`.
 
 Every double plays its schedules through one :class:`Faults`, which counts
 calls per key (a runner's schedule, a copy's node, a lookup's account) and
@@ -48,6 +48,7 @@ from typing import Any, Callable, Mapping, Optional
 
 import yaml
 
+from .config import ConfigError
 from .interfaces import (
     CommandTimeout,
     Invocation,
@@ -151,29 +152,43 @@ def _parse_pattern_entry(entry: Any, where: str) -> Behavior:
         if key == "fail":
             return fail(str(value))
         if key == "delay":
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
+                raise ConfigError(f"{where}: delay must be a number of seconds >= 0, "
+                                  f"got {value!r}")
             return delay(float(value))
-    raise ValueError(f"{where}: unknown behavior {entry!r}")
+    raise ConfigError(f"{where}: unknown behavior {entry!r}")
 
 
 def load_fault_schedules(path: str) -> dict[str, FaultSchedule]:
-    """Load a fault-schedule fixture file (format documented above)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+    """Load a fault-schedule file (format documented above); any fault in it
+    raises :class:`~.config.ConfigError` with a message that starts with ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh) or {}
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
     if not isinstance(raw, Mapping):
-        raise ValueError(f"{path}: top level must be a mapping")
+        raise ConfigError(f"{path}: top level must be a mapping")
     schedules: dict[str, FaultSchedule] = {}
     for target, spec in raw.items():
+        where = f"{path}: entry {target!r}"
         if not isinstance(spec, Mapping):
-            raise ValueError(f"{path}: entry {target!r} must be a mapping")
-        pattern = spec.get("pattern")
+            raise ConfigError(f"{where} must be a mapping")
+        unknown = sorted(str(key) for key in spec if key not in ("pattern", "repeat"))
+        if unknown:
+            raise ConfigError(f"{where} has unknown key(s) {', '.join(unknown)}")
+        pattern, repeat = spec.get("pattern"), spec.get("repeat", True)
         if not isinstance(pattern, list) or not pattern:
-            raise ValueError(f"{path}: entry {target!r} needs a non-empty pattern list")
+            raise ConfigError(f"{where} needs a non-empty pattern list")
+        if not isinstance(repeat, bool):
+            raise ConfigError(f"{where}: repeat must be a boolean (true or false)")
         behaviors = tuple(
-            _parse_pattern_entry(e, f"{path}:{target}[{i}]") for i, e in enumerate(pattern)
+            _parse_pattern_entry(e, f"{where} pattern[{i}]") for i, e in enumerate(pattern)
         )
-        schedules[str(target)] = FaultSchedule(
-            target=str(target), pattern=behaviors, repeat=bool(spec.get("repeat", True))
-        )
+        schedules[str(target)] = FaultSchedule(target=str(target), pattern=behaviors,
+                                               repeat=repeat)
     return schedules
 
 

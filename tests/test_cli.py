@@ -198,6 +198,40 @@ class TestTokenPush:
         out = capsys.readouterr().out
         assert out.startswith("token-push ")
 
+    def test_missing_fault_schedules_file_is_a_setup_failure(self, sim_site, capsys):
+        missing = sim_site.root / "missing-faults.yaml"
+        config = sim_config(sim_site, simulation={"fault_schedules": str(missing)})
+        assert main_token_push(["--config", config]) == EXIT_SETUP
+        assert capsys.readouterr().err == (
+            f"error: {missing}: cannot read: No such file or directory\n")
+
+    @pytest.mark.parametrize("text,problem", [
+        pytest.param("storer: {pattern: [bogus]}", "unknown behavior 'bogus'",
+                     id="unknown-behavior"),
+        pytest.param('storer: {pattern: [succeed], repeat: "false"}',
+                     "repeat must be a boolean (true or false)", id="quoted-repeat"),
+        pytest.param("storer: {pattern: [succeed], repeats: false}",
+                     "has unknown key(s) repeats", id="unknown-key"),
+        pytest.param("storer: {pattern: [{delay: soon}]}",
+                     "delay must be a number of seconds >= 0, got 'soon'", id="delay-string"),
+        pytest.param("storer: {pattern: [{delay: -1}]}",
+                     "delay must be a number of seconds >= 0, got -1", id="delay-negative"),
+        pytest.param("storer: {pattern: []}", "needs a non-empty pattern list",
+                     id="empty-pattern"),
+        pytest.param("storer: [succeed]", "must be a mapping", id="entry-list"),
+        pytest.param("- storer", "top level must be a mapping", id="top-level-list"),
+        pytest.param("storer: {pattern: [succeed]", "malformed YAML", id="malformed-yaml"),
+    ])
+    def test_malformed_fault_schedules_are_a_setup_failure(self, sim_site, capsys, text,
+                                                           problem):
+        path = sim_site.root / "faults.yaml"
+        path.write_text(text + "\n")
+        config = sim_config(sim_site, simulation={"fault_schedules": str(path)})
+        assert main_token_push(["--config", config]) == EXIT_SETUP
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert problem in err
+
     def test_locked_state_dir_is_a_setup_failure(self, sim_site, capsys):
         config = sim_config(sim_site)
         with open_store(str(sim_site.state_dir)):
@@ -228,6 +262,12 @@ class TestRefreshUids:
 
     def test_missing_config(self, capsys):
         assert main_refresh_uids([]) == EXIT_SETUP
+
+    def test_missing_fault_schedules_file_is_a_setup_failure(self, sim_site, capsys):
+        missing = sim_site.root / "missing-faults.yaml"
+        config = sim_config(sim_site, simulation={"fault_schedules": str(missing)})
+        assert main_refresh_uids(["--config", config]) == EXIT_SETUP
+        assert capsys.readouterr().err.startswith(f"error: {missing}: cannot read: ")
 
     def test_real_http_session_is_closed(self, site, capsys, monkeypatch):
         # Talk to 127.0.0.1 directly, whatever proxy the environment names.

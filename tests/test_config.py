@@ -457,6 +457,8 @@ SVC = "services/svc"
 OVR = "services/svc/overrides"
 LIFETIME_ORDER = ("lifetimes must satisfy bearer < vault_local < vault_credd "
                   "(got {} / {} / {})")
+SERVICE_ALLOWED = ("{service} {account} {experiment} {role} {issuer} {keytab} {principal} "
+                   "{cache} {tmp_dir} {uid} {vault_local_seconds} {vault_credd_seconds}")
 
 
 def message_document(patch):
@@ -613,6 +615,10 @@ MESSAGE_ROWS = [
     row("state_dir-relative", {"state_dir": "relative/path"},
         "config.state_dir: must be an absolute path"),
     row("tmp_dir-relative", {"tmp_dir": "tmp"}, "config.tmp_dir: must be an absolute path"),
+    row("keytab_path-relative", {f"{SVC}/keytab_path": "keytabs/duneprod.keytab"},
+        "config.services.svc.keytab_path: must be an absolute path"),
+    row("fault_schedules-relative", {"simulation/fault_schedules": "faults.yaml"},
+        "config.simulation.fault_schedules: must be an absolute path"),
     row("gateway-ftp", {"metrics_gateway_url": "ftp://gw.example.org"},
         "config.metrics_gateway_url: must be an http(s) URL"),
     row("gateway-empty", {"metrics_gateway_url": ""},
@@ -626,17 +632,15 @@ MESSAGE_ROWS = [
         "config.simulation.registry_uids.duneprod: must be >= 0"),
     row("registry_uid-string", {"simulation/registry_uids": {"duneprod": "5000"}},
         "config.simulation.registry_uids.duneprod: expected an integer"),
-    # Templates: only the placeholders their renderer supplies; a path renders absolute.
+    # Templates: only the placeholders of their vocabulary; a path renders absolute.
     row("default_token_path-unknown-placeholder",
-        {"default_token_path": "{tmp_dir}/vt_{account}"},
-        "config.default_token_path: unknown placeholder {account} (allowed: {tmp_dir} {uid})"),
+        {"default_token_path": "{tmp_dir}/vt_{node}"},
+        "config.default_token_path: unknown placeholder {node} (allowed: " + SERVICE_ALLOWED + ")"),
     row("commands-storer-unknown-placeholder", {"commands/storer": "condor_vault_storer {svc}"},
-        "config.commands.storer: unknown placeholder {svc} (allowed: {keytab} {principal} "
-        "{cache} {service} {credd} {account} {experiment} {role} {issuer} "
-        "{vault_local_seconds} {vault_credd_seconds})"),
+        "config.commands.storer: unknown placeholder {svc} "
+        "(allowed: " + SERVICE_ALLOWED + " {credd})"),
     row("commands-ticket-unknown-placeholder", {"commands/ticket": "kinit {credd}"},
-        "config.commands.ticket: unknown placeholder {credd} "
-        "(allowed: {keytab} {principal} {cache} {service})"),
+        "config.commands.ticket: unknown placeholder {credd} (allowed: " + SERVICE_ALLOWED + ")"),
     row("commands-transfer-unbalanced-quote",
         {"commands/transfer": 'rsync -e "ssh {local} {node}:{remote}'},
         "config.commands.transfer: cannot render 'rsync -e \"ssh {local} {node}:{remote}': "
@@ -644,7 +648,7 @@ MESSAGE_ROWS = [
     row("destination-role-unknown-placeholder",
         {"destination_templates/role": "{tmp_dir}/vt_u{uid}-{nodename}"},
         "config.destination_templates.role: unknown placeholder {nodename} "
-        "(allowed: {tmp_dir} {uid} {issuer} {role} {service} {account})"),
+        "(allowed: " + SERVICE_ALLOWED + ")"),
     row("destination-user-unclosed-brace", {"destination_templates/user": "{tmp_dir/vt"},
         "config.destination_templates.user: cannot render '{tmp_dir/vt': "
         "expected '}' before end of string"),
@@ -703,8 +707,7 @@ MESSAGE_ROWS = [
         "config.services.svc.overrides.commands.storer: expected a non-empty string"),
     row("override-unknown-placeholder", {OVR: {"commands.storer": "condor_vault_storer {svc}"}},
         "config.services.svc.overrides.commands.storer: unknown placeholder {svc} "
-        "(allowed: {keytab} {principal} {cache} {service} {credd} {account} {experiment} "
-        "{role} {issuer} {vault_local_seconds} {vault_credd_seconds})"),
+        "(allowed: " + SERVICE_ALLOWED + " {credd})"),
     row("override-transfer-command",
         {OVR: {"commands.transfer": "scp {local} {node}:{remote}"}},
         "config.services.svc.overrides.commands.transfer: not an overridable field"),
@@ -771,47 +774,71 @@ class TestTemplatePlaceholders:
         assert sorted(rendered) == sorted(placeholders)
         assert not any("{" in value for value in rendered.values())
 
-    def test_commands(self, site):
-        site.add_service("dune_production", overrides={
-            "commands.ticket": words("kinit", config_mod.TICKET_PLACEHOLDERS),
-            "commands.storer": words("condor_vault_storer", config_mod.STORER_PLACEHOLDERS)})
-        cfg = site.config(commands={
-            "transfer": words("rsync", config_mod.TRANSFER_PLACEHOLDERS)})
-        svc = resolve_service(cfg, "dune_production")
-        runner = simkit.scripted_runner(simkit.always_succeed(),
-                                        side_effects=simkit.write_token_from_env(),
-                                        clock=simkit.FixedClock())
-        credentials.acquire_ticket(svc, 4521, runner)
-        credentials.store_vault_tokens(svc, 4521, runner)
-        adapters.CommandTransferAdapter(cfg.commands.transfer, runner).put(
-            "/local/token", "submit1.example.org", "/remote/token")
-        kinit, storer, transfer = (entry.args for entry in runner.log.entries())
-        self.assert_rendered(kinit, config_mod.TICKET_PLACEHOLDERS)
-        self.assert_rendered(storer, config_mod.STORER_PLACEHOLDERS)
-        self.assert_rendered(transfer, config_mod.TRANSFER_PLACEHOLDERS)
+    @staticmethod
+    def storer_runner(shared_paths):
+        """A storer double that writes its token and records the shared token
+        path each call was given."""
+        write = simkit.write_token_from_env()
 
-    def test_paths_and_endpoint(self, site):
+        def effect(index, argv, env):
+            shared_paths.append(env[credentials.DEFAULT_TOKEN_PATH_ENV])
+            write(index, argv, env)
+        return simkit.scripted_runner(simkit.always_succeed(), side_effects=effect,
+                                      clock=simkit.FixedClock())
+
+    def test_every_service_template_renders_every_placeholder(self, site):
+        names = config_mod.SERVICE_PLACEHOLDERS
         site.add_service("dune_production", overrides={
-            "destination_templates.user": path(config_mod.DESTINATION_PLACEHOLDERS),
-            "destination_templates.role": path(config_mod.DESTINATION_PLACEHOLDERS) + "-r",
-            "default_token_path": path(config_mod.TOKEN_PATH_PLACEHOLDERS)})
+            "commands.ticket": words("kinit", names),
+            "commands.storer": words("condor_vault_storer", config_mod.STORER_PLACEHOLDERS),
+            "destination_templates.user": path(names),
+            "destination_templates.role": path(names) + "-r",
+            "default_token_path": "{tmp_dir}" + path(names)})
+        svc = resolve_service(site.config(), "dune_production")
+        ticket = simkit.scripted_runner(simkit.always_succeed(), clock=simkit.FixedClock())
+        shared_paths = []
+        storer = self.storer_runner(shared_paths)
+        credentials.acquire_ticket(svc, 4521, ticket)
+        credentials.store_vault_tokens(svc, 4521, storer)
+        (kinit,) = (entry.args for entry in ticket.log.entries())
+        (storer_argv,) = (entry.args for entry in storer.log.entries())
+        self.assert_rendered(kinit, names)
+        self.assert_rendered(storer_argv, config_mod.STORER_PLACEHOLDERS)
+        rendered = [*distribution.compute_destinations(svc, 4521), *shared_paths]
+        assert len(rendered) == 3
+        assert not any("{" in value for value in rendered)
+
+    def test_transfer_and_endpoint(self, site):
+        site.add_service("dune_production")
         endpoint = "/users?" + "&".join(f"{name}={{{name}}}"
                                         for name in config_mod.UID_ENDPOINT_PLACEHOLDERS)
-        cfg = site.config(registry={"base_url": "http://registry.example.org",
+        cfg = site.config(commands={"transfer": words("rsync", config_mod.TRANSFER_PLACEHOLDERS)},
+                          registry={"base_url": "http://registry.example.org",
                                     "uid_endpoint_template": endpoint})
-        svc = resolve_service(cfg, "dune_production")
-        rendered = [*distribution.compute_destinations(svc, 4521),
-                    svc.default_token_path.format(**config_mod.placeholders(svc, 4521))]
-        assert not any("{" in value for value in rendered)
+        runner = simkit.scripted_runner(simkit.always_succeed(), clock=simkit.FixedClock())
+        adapters.CommandTransferAdapter(cfg.commands.transfer, runner).put(
+            "/local/token", "submit1.example.org", "/remote/token")
+        (transfer,) = (entry.args for entry in runner.log.entries())
+        self.assert_rendered(transfer, config_mod.TRANSFER_PLACEHOLDERS)
         http = simkit.fake_registry({"duneprod": 4521}, endpoint_template=endpoint)
         assert registry.fetch_uid(cfg.registry, http, "duneprod") == 4521
 
     def test_one_map_holds_every_rendered_placeholder(self, site):
         site.add_service("dune_production")
         svc = resolve_service(site.config(), "dune_production")
-        named = {*config_mod.TICKET_PLACEHOLDERS, *config_mod.STORER_PLACEHOLDERS,
-                 *config_mod.DESTINATION_PLACEHOLDERS, *config_mod.TOKEN_PATH_PLACEHOLDERS}
-        assert {*config_mod.placeholders(svc, 4521), "credd"} == named
+        assert tuple(config_mod.placeholders(svc, 4521)) == config_mod.SERVICE_PLACEHOLDERS
+
+    def test_token_path_and_ticket_name_any_service_placeholder(self, site):
+        site.add_service("dune_production")
+        cfg = site.config(default_token_path="{tmp_dir}/vt_u{uid}_{service}",
+                          commands={"ticket": "kinit -k -t {keytab} -c {cache} {principal} {uid}"})
+        svc = resolve_service(cfg, "dune_production")
+        ticket = simkit.scripted_runner(simkit.always_succeed(), clock=simkit.FixedClock())
+        shared_paths = []
+        credentials.acquire_ticket(svc, 4521, ticket)
+        credentials.store_vault_tokens(svc, 4521, self.storer_runner(shared_paths))
+        assert ticket.log.entries()[0].args[-1] == "4521"
+        assert shared_paths == [f"{site.tmp_dir}/vt_u4521_dune_production"]
 
     def test_storer_and_destinations_render_the_same_values(self, site):
         site.add_service("dune_production", overrides={

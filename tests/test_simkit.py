@@ -12,6 +12,7 @@ import yaml
 
 from managed_tokens import simkit
 from managed_tokens.adapters import build_simulation_bundle
+from managed_tokens.config import ConfigError
 from managed_tokens.interfaces import (
     CommandTimeout,
     TransferError,
@@ -101,7 +102,7 @@ class TestLoadFaultSchedules:
         {"ticket": {"pattern": [{"fail": "x", "delay": 1}]}},
     ])
     def test_malformed_files_rejected(self, tmp_path, payload):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             simkit.load_fault_schedules(self.write(tmp_path, payload))
 
 

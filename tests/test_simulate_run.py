@@ -34,3 +34,13 @@ def test_failing_node_exits_one_and_is_named(tmp_path, capsys):
     assert [line for line in failed if "@ submit2.sim.example.org:" in line] == [
         f"  sim0{i}_production @ submit2.sim.example.org: injected fault "
         "(after 2 attempt(s))" for i in range(2)]
+
+
+def test_relative_paths_are_made_absolute(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "faults.yaml").write_text("storer: {pattern: [succeed]}\n")
+    code = load_simulate_run().main(["--services", "1", "--nodes", "1", "--out", "ws",
+                                     "--fault-schedules", "faults.yaml"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert f"workspace: {tmp_path / 'ws'}\n" in out
