@@ -19,10 +19,11 @@ store included).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import signal
 import sys
 import threading
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import __version__, adapters, observability, orchestrator
 from .config import ConfigError, GlobalConfig, load_config
@@ -84,17 +85,23 @@ def _load(config_path: str, verbosity: int) -> GlobalConfig:
     return config
 
 
-def _install_cancel_handler(cancel: threading.Event) -> None:
-    def handler(signum: int, frame: object) -> None:
-        cancel.set()
-
+@contextlib.contextmanager
+def _cancel_on_signals(cancel: threading.Event) -> Iterator[None]:
+    """Set ``cancel`` on SIGINT or SIGTERM until the block exits, then put the
+    previous handlers back."""
+    previous = {}
     try:
-        signal.signal(signal.SIGINT, handler)
-        signal.signal(signal.SIGTERM, handler)
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            previous[signum] = signal.signal(signum, lambda *_: cancel.set())
     except ValueError:
         # Not the main thread (e.g. embedded in a test runner): the cancel
         # event still works, it just has no signal wiring.
         pass
+    try:
+        yield
+    finally:
+        for signum, old in previous.items():
+            signal.signal(signum, old)
 
 
 def format_report(report: RunReport, dry_run: bool = False) -> str:
@@ -160,9 +167,9 @@ def _main(parser: argparse.ArgumentParser, argv: Optional[Sequence[str]],
 def _token_push(args: argparse.Namespace, config: GlobalConfig,
                 deps: AdapterBundle) -> int:
     cancel = threading.Event()
-    _install_cancel_handler(cancel)
-    report = orchestrator.run_token_push(config, deps, selection=args.service or None,
-                                         dry_run=args.dry_run, cancel=cancel)
+    with _cancel_on_signals(cancel):
+        report = orchestrator.run_token_push(config, deps, selection=args.service or None,
+                                             dry_run=args.dry_run, cancel=cancel)
     print(format_report(report, dry_run=args.dry_run))
     return EXIT_OK if report.ok else EXIT_PARTIAL
 

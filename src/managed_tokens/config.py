@@ -10,12 +10,12 @@ non-empty string, ``Optional[str]`` that or null, ``bool`` true or false,
 ``tuple[str, ...]`` a list of distinct non-empty strings, and a nested
 dataclass a mapping checked the same way, where null means all its defaults.
 A field whose rule differs from its type states that rule on itself, as
-``Annotated[type, rule]``, and ``_INVARIANTS`` holds the rules across one
-group's fields. Every message names the failing field by its path. The fields
-of :class:`Settings` are the ones a service may override:
-:class:`GlobalConfig` inherits them as the global defaults, and workers
-receive a :class:`ResolvedService`, one capability set with those settings
-resolved, every per-service override already applied.
+``Annotated[type, rule]``, and a group whose fields share a rule checks it in
+its ``__post_init__``, so the rule holds however the group is built. Every
+message names the failing field by its path. The fields of :class:`Settings`
+are the ones a service may override: :class:`GlobalConfig` inherits them as
+the global defaults, and workers receive a :class:`ResolvedService`, one
+capability set with those settings resolved, every override applied.
 
 Every service template (``kinit``, the storer, both destinations and
 ``default_token_path``) may name any of :data:`SERVICE_PLACEHOLDERS`, the keys
@@ -52,6 +52,7 @@ ENV_METRICS_GATEWAY_URL = "MANAGED_TOKENS_METRICS_GATEWAY_URL"
 
 _DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ms|s|m|h|d)?\s*$")
 _DURATION_UNITS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
+_SERVICE_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 # libyaml's C parser when PyYAML was built with it, else the pure-Python one.
 # Both feed the same Python resolver and SafeConstructor, so a document
@@ -125,7 +126,12 @@ def _optional(check: _Check) -> _Check:
 _str = _rule(lambda value: isinstance(value, str) and value != "", "expected a non-empty string")
 _bool = _rule(lambda value: isinstance(value, bool), "expected a boolean (true or false)")
 _absolute = _rule(os.path.isabs, "must be an absolute path", _str)
-_http_url = _optional(_rule(re.compile(r"^https?://").match, "must be an http(s) URL", _str))
+_is_http = re.compile(r"^https?://").match
+_http_url = _optional(_rule(_is_http, "must be an http(s) URL", _str))
+_trace_export = _optional(_rule(lambda dest: _is_http(dest) or os.path.isabs(dest),
+                                "must be an http(s) URL or an absolute path", _str))
+_base_url = _rule(lambda url: url == "" or _is_http(url), "must be empty or an http(s) URL",
+                  _rule(lambda url: isinstance(url, str), "expected a string"))
 _adapter_mode = _rule(lambda mode: mode in ("real", "simulation"),
                       "must be 'real' or 'simulation'")
 
@@ -238,6 +244,12 @@ class TokenLifetimes:
     vault_local: float = DEFAULT_VAULT_LOCAL_LIFETIME
     vault_credd: float = DEFAULT_VAULT_CREDD_LIFETIME
 
+    def __post_init__(self) -> None:
+        if not self.bearer < self.vault_local < self.vault_credd:
+            raise ValidationError(
+                "lifetimes must satisfy bearer < vault_local < vault_credd "
+                f"(got {self.bearer} / {self.vault_local} / {self.vault_credd})")
+
 
 @dataclass(frozen=True)
 class NotificationConfig:
@@ -250,11 +262,11 @@ class NotificationConfig:
 
 @dataclass(frozen=True)
 class RegistryConfig:
-    base_url: Annotated[str, _rule(lambda url: isinstance(url, str), "expected a string")] = ""
+    base_url: Annotated[str, _base_url] = ""
     uid_endpoint_template: Annotated[str, _uid_endpoint] = "/getUserInfo?username={account}"
     uid_json_path: str = "ferry_output.uid"
     timeout: float = 30.0
-    ca_bundle: Optional[str] = None
+    ca_bundle: Annotated[Optional[str], _optional(_absolute)] = None
 
 
 @dataclass(frozen=True)
@@ -275,6 +287,10 @@ class DestinationTemplates:
 
     user: Annotated[str, _service_path] = "{tmp_dir}/vt_u{uid}"
     role: Annotated[str, _service_path] = "{tmp_dir}/vt_u{uid}-{issuer}_{role}"
+
+    def __post_init__(self) -> None:
+        if self.user == self.role:
+            raise ValidationError("user and role templates must differ")
 
 
 @dataclass(frozen=True)
@@ -329,7 +345,7 @@ class GlobalConfig(Settings):
     services: Annotated[Mapping[str, ServiceConfig], _services]
     metrics_gateway_url: Annotated[Optional[str], _http_url] = field(
         default=None, metadata={"env": ENV_METRICS_GATEWAY_URL})
-    trace_export: Optional[str] = None
+    trace_export: Annotated[Optional[str], _trace_export] = None
     notification: NotificationConfig = field(default_factory=NotificationConfig)
     registry: RegistryConfig = field(default_factory=RegistryConfig)
     adapter_mode: Annotated[str, _adapter_mode] = "real"
@@ -374,6 +390,10 @@ def placeholders(svc: ResolvedService, uid: int) -> dict[str, Any]:
 def _services(value: Any, path: str) -> dict[str, ServiceConfig]:
     if not isinstance(value, Mapping) or not value:
         raise ValidationError(f"{path}: must be non-empty")
+    for name in value:  # a name is one path component of the cache and staging paths
+        if not _SERVICE_NAME.fullmatch(str(name)):
+            raise ValidationError(f"{path}: service name {str(name)!r} must match "
+                                  f"{_SERVICE_NAME.pattern}")
     return {str(name): _build(ServiceConfig, raw, f"{path}.{name}", name=str(name))
             for name, raw in value.items()}
 
@@ -381,25 +401,6 @@ def _services(value: Any, path: str) -> dict[str, ServiceConfig]:
 def _overrides(value: Any, path: str) -> dict[str, Any]:
     return {str(key): _override_check(str(key), f"{path}.{key}")(raw, f"{path}.{key}")
             for key, raw in _mapping(value, path).items()}
-
-
-def _lifetime_order(lifetimes: TokenLifetimes, path: str) -> None:
-    if not lifetimes.bearer < lifetimes.vault_local < lifetimes.vault_credd:
-        raise ValidationError(
-            f"{path}: lifetimes must satisfy bearer < vault_local < vault_credd "
-            f"(got {lifetimes.bearer} / {lifetimes.vault_local} / {lifetimes.vault_credd})"
-        )
-
-
-def _distinct_destinations(templates: DestinationTemplates, path: str) -> None:
-    if templates.user == templates.role:
-        raise ValidationError(f"{path}: user and role templates must differ")
-
-
-_INVARIANTS: dict[type, Callable[[Any, str], None]] = {
-    TokenLifetimes: _lifetime_order,
-    DestinationTemplates: _distinct_destinations,
-}
 
 
 class _Field(NamedTuple):
@@ -445,15 +446,10 @@ def _build(cls: type, raw: Any, path: str, **given: Any) -> Any:
             raise ValidationError(f"{path}.{name}: required field is missing")
         if value is not None or name in raw:
             given[name] = spec.check(value, f"{path}.{name}")
-    built = cls(**given)
-    _check_invariants(built, path)
-    return built
-
-
-def _check_invariants(value: Any, path: str) -> None:
-    invariant = _INVARIANTS.get(type(value))
-    if invariant is not None:
-        invariant(value, path)
+    try:
+        return cls(**given)
+    except ValidationError as exc:  # a group's own rule, raised without a path
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _override_check(key: str, path: str) -> _Check:
@@ -492,7 +488,7 @@ def load_config_text(text: str) -> GlobalConfig:
     if not isinstance(raw, Mapping):
         raise ParseError("top level of the config file must be a mapping")
     cfg = _build(GlobalConfig, raw, "config")
-    # Every service must resolve cleanly (overrides must keep the invariants).
+    # Every service must resolve cleanly (overrides must keep each group's rule).
     for name in cfg.services:
         resolve_service(cfg, name)
     return cfg
@@ -509,12 +505,19 @@ def resolve_service(config: GlobalConfig, name: str) -> ResolvedService:
         raise UnknownService(f"unknown service {name!r}")
     svc = config.services[name]
     values = {**vars(config), **vars(svc)}
+    groups: dict[str, dict[str, Any]] = {}
     for key, value in svc.overrides.items():
         head, _, member = key.partition(".")
-        values[head] = dataclasses.replace(values[head], **{member: value}) if member else value
-    # Re-check the invariants of every group an override changed.
-    for head in dict.fromkeys(key.partition(".")[0] for key in svc.overrides):
-        _check_invariants(values[head], f"config.services.{name}.overrides.{head}")
+        if member:
+            groups.setdefault(head, {})[member] = value
+        else:
+            values[head] = value
+    for head, members in groups.items():
+        # One replace per group: its rule sees every member the service overrides.
+        try:
+            values[head] = dataclasses.replace(values[head], **members)
+        except ValidationError as exc:
+            raise ValidationError(f"config.services.{name}.overrides.{head}: {exc}") from None
     return ResolvedService(**{f.name: values[f.name] for f in dataclasses.fields(ResolvedService)})
 
 

@@ -107,6 +107,7 @@ def acquire_ticket(svc: ResolvedService, uid: int, runner: CommandRunner) -> str
     values = placeholders(svc, uid)
     cache = values["cache"]
     os.makedirs(os.path.dirname(cache), mode=0o700, exist_ok=True)
+    os.chmod(os.path.dirname(cache), 0o700)
     inv = runner.run(render_command(svc.commands.ticket, values),
                      env_overrides={KRB5_CACHE_ENV: f"FILE:{cache}"},
                      timeout=svc.timeouts.ticket)

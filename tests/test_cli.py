@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import functools
 import shlex
+import signal
 import socket
 
 import pytest
@@ -43,6 +44,13 @@ def sim_config(site, fault_schedules=None, **extra):
         fields["simulation"]["fault_schedules"] = str(path)
     fields.update(extra)
     return site.config_path(**fields)
+
+
+SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+def handlers():
+    return [signal.getsignal(signum) for signum in SIGNALS]
 
 
 class TestTokenPush:
@@ -143,6 +151,30 @@ class TestTokenPush:
         assert code == EXIT_SETUP
         assert "unknown service(s): ghost_production" in err
         assert not (sim_site.state_dir / "db").exists()
+
+    def test_sigterm_cancels_the_run_and_the_old_handlers_come_back(self, sim_site, capsys,
+                                                                      monkeypatch):
+        before = handlers()
+        cancelled = []
+        real = orchestrator.run_token_push
+
+        def run(config, deps, cancel, **kwargs):
+            if handlers() != before:  # never deliver SIGTERM to the default handler
+                signal.raise_signal(signal.SIGTERM)
+                cancelled.append(cancel.is_set())
+            return real(config, deps, cancel=cancel, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "run_token_push", run)
+        main_token_push(["--config", sim_config(sim_site)])
+        assert cancelled == [True]
+        assert handlers() == before
+
+    def test_old_handlers_come_back_after_a_setup_failure(self, sim_site, capsys):
+        before = handlers()
+        code = main_token_push(["--config", sim_config(sim_site),
+                                "--service", "ghost_production"])
+        assert code == EXIT_SETUP
+        assert handlers() == before
 
     def test_dry_run_exits_zero_despite_scheduled_faults(self, sim_site, capsys):
         faults = {"transfer:submit1.example.org": {"pattern": [{"fail": "down"}]}}

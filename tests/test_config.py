@@ -15,8 +15,10 @@ from managed_tokens import config as config_mod
 from managed_tokens.config import (
     ENV_METRICS_GATEWAY_URL,
     ENV_STATE_DIR,
+    DestinationTemplates,
     ParseError,
     Settings,
+    TokenLifetimes,
     UnknownService,
     ValidationError,
     load_config,
@@ -209,6 +211,21 @@ class TestOverrides:
         with pytest.raises(ValidationError):
             site.config()
 
+    def test_lifetime_overrides_valid_only_together_load(self, site):
+        """A group's overridden members are applied together: bearer 8d is
+        checked against vault_local 9d, not against the 7d default."""
+        site.add_service("dune_production", overrides={"token_lifetimes.bearer": "8d",
+                                                        "token_lifetimes.vault_local": "9d"})
+        lifetimes = resolve_service(site.config(), "dune_production").token_lifetimes
+        assert (lifetimes.bearer, lifetimes.vault_local) == (8 * 86400, 9 * 86400)
+
+    def test_destination_overrides_valid_only_together_load(self, site):
+        defaults = DestinationTemplates()
+        site.add_service("dune_production", overrides={"destination_templates.user": defaults.role,
+                                                        "destination_templates.role": defaults.user})
+        templates = resolve_service(site.config(), "dune_production").destination_templates
+        assert (templates.user, templates.role) == (defaults.role, defaults.user)
+
     def test_resolution_is_deterministic(self, site):
         site.add_service("dune_production",
                          overrides={"retry.max_attempts": 5, "tmp_dir": "/scratch"})
@@ -239,6 +256,25 @@ class TestOverrides:
         with pytest.raises(ValidationError,
                            match=rf"overrides\.{key}: not an overridable field"):
             site.config()
+
+
+class TestGroupRules:
+    """A rule across a group's fields holds however the group is built: by
+    config load, by an override, or directly in code."""
+
+    def test_out_of_order_lifetimes_rejected(self):
+        with pytest.raises(ValidationError) as caught:
+            TokenLifetimes(bearer=10 * 86400)
+        assert str(caught.value) == LIFETIME_ORDER.format(864000, 604800.0, 2419200.0)
+
+    def test_replace_breaking_the_order_rejected(self):
+        with pytest.raises(ValidationError, match="^lifetimes must satisfy"):
+            dataclasses.replace(TokenLifetimes(), vault_local=30 * 86400.0)
+
+    def test_equal_destinations_rejected(self):
+        with pytest.raises(ValidationError) as caught:
+            DestinationTemplates(user="{tmp_dir}/t", role="{tmp_dir}/t")
+        assert str(caught.value) == "user and role templates must differ"
 
 
 class TestEnvironmentOverrides:
@@ -476,6 +512,13 @@ def message_document(patch):
     return yaml.safe_dump(doc)
 
 
+def service_named(name):
+    """MESSAGE_BASE with its one service under the key ``name``."""
+    doc = copy.deepcopy(MESSAGE_BASE)
+    doc["services"] = {name: doc["services"]["svc"]}
+    return yaml.safe_dump(doc)
+
+
 def row(row_id, patch, message):
     return pytest.param(patch, message, id=row_id)
 
@@ -628,6 +671,12 @@ MESSAGE_ROWS = [
     row("adapter_mode-null", {"adapter_mode": None},
         "config.adapter_mode: must be 'real' or 'simulation'"),
     row("base_url-number", {"registry/base_url": 5}, "config.registry.base_url: expected a string"),
+    row("base_url-no-scheme", {"registry/base_url": "registry.example.org"},
+        "config.registry.base_url: must be empty or an http(s) URL"),
+    row("ca_bundle-relative", {"registry/ca_bundle": "certs/ca.pem"},
+        "config.registry.ca_bundle: must be an absolute path"),
+    row("trace_export-relative", {"trace_export": "spans.jsonl"},
+        "config.trace_export: must be an http(s) URL or an absolute path"),
     row("registry_uid-negative", {"simulation/registry_uids": {"duneprod": -1}},
         "config.simulation.registry_uids.duneprod: must be >= 0"),
     row("registry_uid-string", {"simulation/registry_uids": {"duneprod": "5000"}},
@@ -752,6 +801,29 @@ class TestMessages:
         with pytest.raises(ValidationError) as caught:
             load_config_text(message_document(patch))
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("name", ["../../escape", "/etc/x", "..", ".hidden", "a/b", "a b", ""])
+    def test_service_name_is_one_path_component(self, name):
+        """A service's name is a component of its cache and staging paths, so
+        a name such as ``../../escape`` would put them outside ``state_dir``."""
+        with pytest.raises(ValidationError) as caught:
+            load_config_text(service_named(name))
+        assert str(caught.value) == (f"config.services: service name {name!r} "
+                                     "must match [A-Za-z0-9][A-Za-z0-9._-]*")
+
+    @pytest.mark.parametrize("name", ["svc", "dune_production", "mu2e.test-2", "7"])
+    def test_plain_service_names_load(self, name):
+        assert list(load_config_text(service_named(name)).services) == [name]
+
+    @pytest.mark.parametrize("patch", [
+        {"registry/base_url": ""},
+        {"registry/base_url": "https://registry.example.org:8443"},
+        {"registry/ca_bundle": "/etc/pki/ca.pem"},
+        {"trace_export": "/var/log/managed-tokens/spans.jsonl"},
+        {"trace_export": "http://collector.example.org:4318/v1/traces"},
+    ])
+    def test_well_formed_registry_and_trace_settings_load(self, patch):
+        load_config_text(message_document(patch))
 
 
 def words(command: str, placeholders: tuple[str, ...]) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import stat
 
 import pytest
 
@@ -124,6 +125,15 @@ class TestAcquireTicket:
         acquire_ticket(svc, 4521, runner)
         (env,) = recorder.envs
         assert env["KRB5CCNAME"] == f"FILE:{ticket_cache_path(svc)}"
+
+    def test_existing_cache_directory_made_owner_only(self, site):
+        svc = one_service(site)
+        cache_dir = os.path.join(svc.state_dir, "krb5cc")
+        os.makedirs(cache_dir)
+        os.chmod(cache_dir, 0o755)
+        acquire_ticket(svc, 4521, simkit.scripted_runner(simkit.always_succeed(),
+                                                         clock=simkit.FixedClock()))
+        assert stat.S_IMODE(os.stat(cache_dir).st_mode) == 0o700
 
     def test_missing_keytab_fails_before_any_invocation(self, site):
         svc = one_service(site)
