@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import os
+import signal
 import smtplib
 import subprocess
 from email.message import EmailMessage
@@ -37,7 +38,14 @@ logger = logging.getLogger(__name__)
 
 class RealCommandRunner:
     """Runs external commands through subprocess, environment merged over the
-    parent's."""
+    parent's.
+
+    Each command leads its own process group, and a timeout kills the whole
+    group, so a storer's ``htgettoken`` or a copy's ``ssh`` cannot write
+    after the call has failed. A command that exits by itself keeps whatever
+    it left running: an ssh ``ControlPersist`` master must outlive its copy.
+    A child that calls ``setsid`` itself leaves the group and escapes the kill.
+    """
 
     def run(
         self,
@@ -50,15 +58,22 @@ class RealCommandRunner:
         if env_overrides:
             env.update(env_overrides)
         try:
-            proc = subprocess.run(argv, capture_output=True, text=True,
-                                  env=env, timeout=timeout)
-        except subprocess.TimeoutExpired as exc:
-            raise CommandTimeout(argv, timeout if timeout is not None else 0.0) from exc
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, env=env, start_new_session=True)
         except OSError as exc:
             # Missing or unrunnable binary: report as a failed invocation so
             # the caller gets argv and the reason in one place.
             return Invocation(argv, 127, "", str(exc))
-        return Invocation(argv, proc.returncode, proc.stdout, proc.stderr)
+        # Leaving the block closes the pipes and then reaps the child, so an
+        # escaped grandchild that still holds a pipe cannot block it.
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired as exc:
+                # The child is not yet reaped, so its group still exists.
+                os.killpg(proc.pid, signal.SIGKILL)
+                raise CommandTimeout(argv, timeout if timeout is not None else 0.0) from exc
+        return Invocation(argv, proc.returncode, stdout, stderr)
 
 
 class CommandTransferAdapter:
@@ -193,7 +208,7 @@ def build_simulation_bundle(config: GlobalConfig) -> AdapterBundle:
 
     return AdapterBundle(
         runner=simkit.RoutedRunner(routes),
-        transfer=simkit.memory_transfer(faults=targets("transfer:"), clock=clock),
+        transfer=simkit.MemoryTransfer(faults=targets("transfer:"), clock=clock),
         http=simkit.fake_registry(
             uids,
             endpoint_template=config.registry.uid_endpoint_template,

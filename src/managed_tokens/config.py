@@ -2,7 +2,7 @@
 per-service overrides.
 
 The frozen dataclasses below are the schema: each field is declared once, and
-loading, override checks and write-back are derived from them. The file is
+loading and override checks are derived from them. The file is
 loaded once, validated eagerly, and frozen. A key no dataclass declares is an
 error, a field with no default is required, and a field's type picks its
 validator: ``int`` an integer >= 1, ``float`` a positive duration, ``str`` a
@@ -519,27 +519,3 @@ def resolve_service(config: GlobalConfig, name: str) -> ResolvedService:
         except ValidationError as exc:
             raise ValidationError(f"config.services.{name}.overrides.{head}: {exc}") from None
     return ResolvedService(**{f.name: values[f.name] for f in dataclasses.fields(ResolvedService)})
-
-
-def canonical_dict(config: GlobalConfig) -> dict[str, Any]:
-    """The canonical plain-data form of a config: defaults filled, durations
-    in seconds. ``load_config_text(write_back(cfg))`` reproduces ``cfg``."""
-    return _plain(config)
-
-
-def _plain(value: Any) -> Any:
-    if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name))
-                for f in dataclasses.fields(value) if not f.metadata.get("from_key")}
-    if isinstance(value, Mapping):
-        return {str(key): _plain(item) for key, item in value.items()}
-    if isinstance(value, tuple):
-        return [_plain(item) for item in value]
-    if isinstance(value, float):  # every float field is a duration
-        return int(value) if value.is_integer() else value
-    return value
-
-
-def write_back(config: GlobalConfig) -> str:
-    """Serialize a config to its canonical YAML form."""
-    return yaml.safe_dump(canonical_dict(config), sort_keys=True, default_flow_style=False)

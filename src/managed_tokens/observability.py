@@ -218,12 +218,6 @@ def export_spans(
     return True
 
 
-def load_spans(path: str) -> list[SpanRecord]:
-    """Read back a JSON-lines span file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [SpanRecord(**json.loads(line)) for line in fh if line.strip()]
-
-
 # -- logging -------------------------------------------------------------------
 
 LOG_FORMAT = "ts=%(asctime)s level=%(levelname)s logger=%(name)s %(message)s"

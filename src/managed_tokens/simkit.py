@@ -395,9 +395,6 @@ class MemoryTransfer:
             return dict(self._files)
 
 
-memory_transfer = MemoryTransfer
-
-
 # -- fake identity registry ---------------------------------------------------------
 
 

@@ -102,7 +102,7 @@ class Store:
             if "last_attempt_at" in columns:
                 self._conn.execute("ALTER TABLE failure_counters DROP COLUMN last_attempt_at")
         except sqlite3.DatabaseError as exc:
-            self._release_lock()
+            self.close()
             raise CorruptStore(
                 f"state database {self._db_path} is unreadable ({exc}); move it aside "
                 "and rerun the UID refresh to rebuild"
@@ -112,13 +112,11 @@ class Store:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        if self._conn is not None:
+        # Also called from a failed __init__, which may not have connected.
+        if getattr(self, "_conn", None) is not None:
             self._conn.close()
             self._conn = None  # type: ignore[assignment]
-        self._release_lock()
-
-    def _release_lock(self) -> None:
-        if getattr(self, "_lock_fd", None) is not None:
+        if self._lock_fd is not None:
             try:
                 fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
             finally:

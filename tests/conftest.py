@@ -4,6 +4,7 @@ bundles assembled from the in-package doubles."""
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from pathlib import Path
 from typing import Mapping, Optional
@@ -15,6 +16,7 @@ from hypothesis import settings
 from managed_tokens import simkit
 from managed_tokens.config import GlobalConfig, load_config
 from managed_tokens.interfaces import AdapterBundle
+from managed_tokens.observability import SpanRecord
 from managed_tokens.statestore import open_store
 
 settings.register_profile("suite", deadline=None)
@@ -166,7 +168,7 @@ def make_bundle(
     runner = simkit.RoutedRunner({"kinit": ticket, "condor_vault_storer": storer})
     return AdapterBundle(
         runner=runner,
-        transfer=simkit.memory_transfer(faults=transfer_faults, clock=clock),
+        transfer=simkit.MemoryTransfer(faults=transfer_faults, clock=clock),
         http=simkit.fake_registry(uids or {}),
         sink=sink if sink is not None else simkit.RecordingSink(),
         clock=clock,
@@ -206,6 +208,12 @@ class ReferenceCounter:
 
     def ack(self) -> None:
         self.watermark = self.streak
+
+
+def load_spans(path: str) -> list[SpanRecord]:
+    """Read back a JSON-lines span file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [SpanRecord(**json.loads(line)) for line in fh if line.strip()]
 
 
 def intervals_overlap(a_start: float, a_end: float, b_start: float, b_end: float) -> bool:

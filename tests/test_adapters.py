@@ -7,12 +7,14 @@ import contextlib
 import email
 import email.policy
 import http.server
+import os
 import shlex
 import socket
 import socketserver
 import sys
 import textwrap
 import threading
+import time
 
 import pytest
 
@@ -29,6 +31,9 @@ from managed_tokens.interfaces import (
     TransportError,
     TransportTimeout,
 )
+from managed_tokens.orchestrator import run_token_push
+
+from conftest import make_bundle
 
 
 @contextlib.contextmanager
@@ -76,6 +81,23 @@ class TestRealCommandRunner:
             RealCommandRunner().run(argv, timeout=0.2)
         assert caught.value.argv == tuple(argv)
         assert caught.value.timeout == 0.2
+
+    def test_timeout_kills_the_commands_process_group(self, tmp_path):
+        marker, pid = tmp_path / "marker", tmp_path / "pid"
+        script = (f"echo $$ > {shlex.quote(str(pid))}; "
+                  f"(sleep 1.5; touch {shlex.quote(str(marker))}) & sleep 5")
+        with pytest.raises(CommandTimeout):
+            RealCommandRunner().run(["sh", "-c", script], timeout=0.5)
+        time.sleep(2)  # past the background child's delay
+        assert not marker.exists()
+        for _ in range(100):  # init reaps the killed orphans, not always at once
+            try:
+                os.killpg(int(pid.read_text()), 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail("the command's process group outlived its timeout")
 
     def test_missing_binary_exits_127(self, tmp_path):
         missing = str(tmp_path / "no-such-command")
@@ -243,3 +265,45 @@ def test_real_bundle_is_wired_from_the_config(site):
     assert bundle.http.ca_bundle == "/etc/ca.pem"
     assert (bundle.sink.server, bundle.sink.port, bundle.sink.from_address) == (
         "mail.example.org", 2525, "tokens@example.org")
+
+
+# The first call hangs, and its one background child writes that call's
+# service's token at the shared path after the call has timed out. Every
+# other call writes its own service's token at once and exits 0.4 s later.
+HANGING_STORER = """\
+#!/bin/sh
+if mkdir {first} 2>/dev/null; then
+    echo "$1" > {first}/service
+    (sleep 0.8; echo "hvs.TOKEN-OF-$1" > "$MANAGED_TOKENS_DEFAULT_TOKEN_PATH") &
+    sleep 3
+fi
+echo "hvs.TOKEN-OF-$1" > "$MANAGED_TOKENS_DEFAULT_TOKEN_PATH"
+sleep 0.4
+"""
+
+
+def test_hung_storer_cannot_ship_its_token_for_another_service(site, tmp_path):
+    """Two services on one account share the storer's token path. A timed-out
+    storer call leaves nothing behind that writes there while the other
+    service's storer runs."""
+    site.add_service("dune_production", account="sharedprod", nodes=("prod.example.org",))
+    site.add_service("dune_analysis", account="sharedprod", role="analysis",
+                     nodes=("analysis.example.org",))
+    site.seed_uids(site.uid_map())
+    first = tmp_path / "first"
+    storer = tmp_path / "bin" / "condor_vault_storer"
+    storer.parent.mkdir()
+    storer.write_text(HANGING_STORER.format(first=shlex.quote(str(first))))
+    storer.chmod(0o755)
+    cfg = site.config(commands={"storer": f"{storer} {{service}}"},
+                      timeouts={"vault_store": 0.6})
+    bundle = make_bundle()
+    bundle.runner.routes["condor_vault_storer"] = RealCommandRunner()
+
+    report = run_token_push(cfg, bundle)
+    hung = (first / "service").read_text().strip()
+    other = ({"dune_production", "dune_analysis"} - {hung}).pop()
+    assert not report.per_service[hung][-1].success
+    for (node, _), content in bundle.transfer.files().items():
+        assert node == cfg.services[other].nodes[0]
+        assert content == f"hvs.TOKEN-OF-{other}\n".encode()

@@ -94,7 +94,7 @@ class TestPushToken:
         return outcome
 
     def test_happy_path_lands_both_copies(self, site, staged_token):
-        transfer = simkit.memory_transfer()
+        transfer = simkit.MemoryTransfer()
         outcome = self.push(site, staged_token, transfer, simkit.FixedClock())
         assert outcome.success and outcome.attempts == 1
         user_path = f"{site.tmp_dir}/vt_u4521"
@@ -109,7 +109,7 @@ class TestPushToken:
             "t", (simkit.fail("connection reset"), simkit.succeed(),
                   simkit.succeed()))}
         clock = simkit.FixedClock(advance_on_sleep=True)
-        transfer = simkit.memory_transfer(faults=faults, clock=clock)
+        transfer = simkit.MemoryTransfer(faults=faults, clock=clock)
         outcome = self.push(site, staged_token, transfer, clock, rng=random.Random(1))
         assert outcome.success
         assert outcome.attempts == 2
@@ -120,7 +120,7 @@ class TestPushToken:
             "t", (simkit.fail("connection reset"), simkit.succeed(),
                   simkit.succeed()))}
         clock = SteppingBackClock(start=0.0, advance_on_sleep=True)
-        transfer = simkit.memory_transfer(faults=faults)
+        transfer = simkit.MemoryTransfer(faults=faults)
         outcome = self.push(site, staged_token, transfer, clock, base_backoff="1ms",
                             rng=random.Random(1))
         assert (outcome.success, outcome.attempts) == (True, 2)
@@ -128,7 +128,7 @@ class TestPushToken:
 
     def test_empty_transfer_error_reads_transfer_failed(self, site, staged_token):
         faults = {self.NODE: simkit.FaultSchedule("t", (simkit.fail(""),))}
-        transfer = simkit.memory_transfer(faults=faults)
+        transfer = simkit.MemoryTransfer(faults=faults)
         outcome = self.push(site, staged_token, transfer, simkit.FixedClock(),
                             max_attempts=1)
         assert (outcome.success, outcome.error) == (False, "transfer failed")
@@ -137,7 +137,7 @@ class TestPushToken:
         faults = {self.NODE: simkit.FaultSchedule(
             "t", (simkit.fail("no route to host"),))}
         clock = simkit.FixedClock(advance_on_sleep=True)
-        transfer = simkit.memory_transfer(faults=faults, clock=clock)
+        transfer = simkit.MemoryTransfer(faults=faults, clock=clock)
         outcome = self.push(site, staged_token, transfer, clock, rng=random.Random(1))
         assert not outcome.success
         assert outcome.attempts == 3
@@ -149,7 +149,7 @@ class TestPushToken:
         faults = {self.NODE: simkit.FaultSchedule(
             "t", (simkit.succeed(), simkit.fail("quota")))}
         clock = simkit.FixedClock(advance_on_sleep=True)
-        transfer = simkit.memory_transfer(faults=faults, clock=clock)
+        transfer = simkit.MemoryTransfer(faults=faults, clock=clock)
         outcome = self.push(site, staged_token, transfer, clock, max_attempts=2,
                             rng=random.Random(1))
         assert not outcome.success
@@ -160,7 +160,7 @@ class TestPushToken:
         the slept durations against the full-jitter windows."""
         faults = {self.NODE: simkit.FaultSchedule("t", (simkit.fail("down"),))}
         clock = simkit.FixedClock(advance_on_sleep=True)
-        transfer = simkit.memory_transfer(faults=faults, clock=clock)
+        transfer = simkit.MemoryTransfer(faults=faults, clock=clock)
         self.push(site, staged_token, transfer, clock, max_attempts=4,
                   base_backoff="1s", rng=random.Random(42))
         slept = clock.now() - simkit.FixedClock().now()
@@ -173,7 +173,7 @@ class TestPushToken:
     def test_attempt_count_never_exceeds_policy(self, seed, max_attempts):
         clock = simkit.FixedClock(advance_on_sleep=True)
         faults = {self.NODE: simkit.FaultSchedule("t", (simkit.fail("x"),))}
-        transfer = simkit.memory_transfer(faults=faults, clock=clock)
+        transfer = simkit.MemoryTransfer(faults=faults, clock=clock)
         with tempfile.TemporaryDirectory() as tmp:
             token = stage_token(Path(tmp) / "tok")
             outcome = self.push(Site(Path(tmp)), token, transfer, clock,
@@ -187,7 +187,7 @@ class TestPushAll:
         nodes = ("submit3.example.org", "submit1.example.org",
                  "submit2.example.org")
         svc = one_service(site, nodes=nodes)
-        transfer = simkit.memory_transfer()
+        transfer = simkit.MemoryTransfer()
         outcomes = run_scheduler(svc, staged_token, transfer, 4, simkit.FixedClock())
         assert [o.node for o in outcomes] == list(nodes)
         assert all(o.success for o in outcomes)
@@ -201,7 +201,7 @@ class TestPushAll:
                           overrides={"retry.base_backoff": "10ms"})
         faults = {"down.example.org": simkit.FaultSchedule(
             "t", (simkit.fail("unreachable"),))}
-        transfer = simkit.memory_transfer(faults=faults)
+        transfer = simkit.MemoryTransfer(faults=faults)
         outcomes = run_scheduler(svc, staged_token, transfer, 4, simkit.SystemClock())
         by_node = {o.node: o for o in outcomes}
         assert by_node["ok1.example.org"].success
@@ -213,7 +213,7 @@ class TestPushAll:
         svc = one_service(site, nodes=nodes)
         faults = {n: simkit.FaultSchedule("t", (simkit.delay(0.05), simkit.succeed()))
                   for n in nodes}
-        transfer = simkit.memory_transfer(faults=faults)
+        transfer = simkit.MemoryTransfer(faults=faults)
         begin = time.monotonic()
         outcomes = run_scheduler(svc, staged_token, transfer, 1, simkit.SystemClock())
         serial = time.monotonic() - begin
@@ -226,7 +226,7 @@ class TestPushAll:
         svc = one_service(site, nodes=nodes)
         faults = {n: simkit.FaultSchedule("t", (simkit.delay(0.05), simkit.succeed()))
                   for n in nodes}
-        transfer = simkit.memory_transfer(faults=faults)
+        transfer = simkit.MemoryTransfer(faults=faults)
         begin = time.monotonic()
         outcomes = run_scheduler(svc, staged_token, transfer, 4, simkit.SystemClock())
         parallel = time.monotonic() - begin
@@ -236,7 +236,7 @@ class TestPushAll:
 
     def test_budget_validation(self):
         with pytest.raises(ValueError), \
-                PushScheduler(0, simkit.memory_transfer(), simkit.FixedClock()):
+                PushScheduler(0, simkit.MemoryTransfer(), simkit.FixedClock()):
             pass
 
     def test_non_transfer_error_fails_only_that_node(self, site, staged_token):
@@ -252,7 +252,7 @@ class TestPushAll:
                     raise OSError("disk full")
                 self.inner.put(local_path, node, remote_path, timeout=timeout)
 
-        inner = simkit.memory_transfer()
+        inner = simkit.MemoryTransfer()
         outcomes = run_scheduler(svc, staged_token, DiskFullOn(inner, "broken.example.org"),
                                  4, simkit.FixedClock())
         by_node = {o.node: o for o in outcomes}
@@ -268,7 +268,7 @@ class TestPushAll:
         svc = one_service(site, nodes=nodes, overrides={"transfer_parallelism": 1})
         faults = {n: simkit.FaultSchedule("t", (simkit.delay(0.05), simkit.succeed()))
                   for n in nodes}
-        transfer = simkit.memory_transfer(faults=faults)
+        transfer = simkit.MemoryTransfer(faults=faults)
         begin = time.monotonic()
         outcomes = run_scheduler(svc, staged_token, transfer, 4, simkit.SystemClock())
         serial = time.monotonic() - begin
@@ -288,7 +288,7 @@ class TestPushAll:
                 return b
 
         faults = {down: simkit.FaultSchedule("t", (simkit.fail("unreachable"),))}
-        transfer = simkit.memory_transfer(faults=faults)
+        transfer = simkit.MemoryTransfer(faults=faults)
         outcomes = run_scheduler(svc, staged_token, transfer, 1, simkit.SystemClock(),
                                  rng=TopOfWindow())
         assert [o.success for o in outcomes] == [False, True, True, True]

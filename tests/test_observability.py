@@ -18,7 +18,6 @@ from managed_tokens.observability import (
     counter,
     export_spans,
     gauge,
-    load_spans,
     new_span_id,
     new_trace_id,
     push_metrics,
@@ -30,6 +29,7 @@ from managed_tokens.observability import (
 from managed_tokens.orchestrator import RunReport, StageResult
 
 import exposition_parser
+from conftest import load_spans
 
 
 def result(service, stage, success=True, started=0.0, ended=1.0):

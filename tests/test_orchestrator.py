@@ -23,12 +23,12 @@ from managed_tokens.orchestrator import (
     run_uid_refresh,
 )
 from managed_tokens.statestore import open_store
-from managed_tokens.observability import load_spans
 
 from conftest import (
     SteppingBackClock,
     SubstringRouter,
     assert_pairwise_disjoint,
+    load_spans,
     make_bundle,
     storer_log,
     ticket_log,

@@ -193,7 +193,7 @@ class TestMemoryTransfer:
     def test_round_trip_and_isolation(self, tmp_path):
         local = tmp_path / "token"
         local.write_bytes(b"hvs.data")
-        transfer = simkit.memory_transfer()
+        transfer = simkit.MemoryTransfer()
         transfer.put(str(local), "node1", "/remote/a")
         transfer.put(str(local), "node2", "/remote/a")
         assert transfer.get("node1", "/remote/a") == b"hvs.data"
@@ -205,7 +205,7 @@ class TestMemoryTransfer:
         local = tmp_path / "token"
         local.write_bytes(b"x")
         faults = {"bad": simkit.FaultSchedule("t", (simkit.fail("nope"),))}
-        transfer = simkit.memory_transfer(faults=faults)
+        transfer = simkit.MemoryTransfer(faults=faults)
         transfer.put(str(local), "good", "/p")
         with pytest.raises(TransferError, match="nope"):
             transfer.put(str(local), "bad", "/p")
@@ -215,7 +215,7 @@ class TestMemoryTransfer:
         local.write_bytes(b"x")
         clock = simkit.FixedClock(advance_on_sleep=True)
         faults = {"slow": simkit.FaultSchedule("t", (simkit.hang(),))}
-        transfer = simkit.memory_transfer(faults=faults, clock=clock)
+        transfer = simkit.MemoryTransfer(faults=faults, clock=clock)
         with pytest.raises(TransferError, match="timed out"):
             transfer.put(str(local), "slow", "/p", timeout=7.0)
 
@@ -224,7 +224,7 @@ class TestMemoryTransfer:
         a.write_bytes(b"A" * 4096)
         b = tmp_path / "b"
         b.write_bytes(b"B" * 4096)
-        transfer = simkit.memory_transfer()
+        transfer = simkit.MemoryTransfer()
 
         def spam(path):
             for _ in range(50):
@@ -241,7 +241,7 @@ class TestMemoryTransfer:
     def test_high_water_tracks_concurrency(self, tmp_path):
         local = tmp_path / "token"
         local.write_bytes(b"x")
-        transfer = simkit.memory_transfer()
+        transfer = simkit.MemoryTransfer()
         for i in range(5):
             transfer.put(str(local), f"n{i}", "/p")
         assert transfer.high_water == 1

@@ -140,6 +140,21 @@ class TestCorruption:
         db_path.unlink()
         open_store(str(tmp_path)).close()
 
+    def test_corrupt_open_closes_the_database(self, tmp_path):
+        db_dir = tmp_path / "db"
+        db_dir.mkdir(mode=0o700)
+        db_path = db_dir / "managed-tokens.sqlite"
+        db_path.write_bytes(b"not a database" * 64)
+
+        def fds_on_database():
+            return sum(os.path.realpath(f"/proc/self/fd/{fd}") == os.path.realpath(db_path)
+                       for fd in os.listdir("/proc/self/fd"))
+
+        before = fds_on_database()
+        with pytest.raises(CorruptStore):
+            open_store(str(tmp_path))
+        assert fds_on_database() == before
+
 
 class TestPermissions:
     def test_owner_only_modes(self, tmp_path):
