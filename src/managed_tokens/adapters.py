@@ -100,7 +100,9 @@ class CommandTransferAdapter:
 
 
 class RequestsHttpAdapter:
-    """HttpAdapter over requests, with optional CA bundle for TLS."""
+    """HttpAdapter over requests. TLS is verified against ``ca_bundle`` when
+    given, else against requests' default trust (``REQUESTS_CA_BUNDLE``
+    applies)."""
 
     def __init__(self, ca_bundle: Optional[str] = None):
         self.ca_bundle = ca_bundle
@@ -155,6 +157,13 @@ class SmtpNotificationSink:
 def build_real_bundle(config: GlobalConfig) -> AdapterBundle:
     runner = RealCommandRunner()
     http = RequestsHttpAdapter(ca_bundle=config.registry.ca_bundle)
+    # Telemetry goes to site services, not the registry: default trust.
+    metrics_http = RequestsHttpAdapter()
+
+    def close() -> None:
+        http.close()
+        metrics_http.close()
+
     return AdapterBundle(
         runner=runner,
         transfer=CommandTransferAdapter(config.commands.transfer, runner),
@@ -165,7 +174,8 @@ def build_real_bundle(config: GlobalConfig) -> AdapterBundle:
             config.notification.from_address,
         ),
         clock=SystemClock(),
-        close=http.close,
+        metrics_http=metrics_http,
+        close=close,
     )
 
 

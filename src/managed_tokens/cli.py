@@ -115,12 +115,8 @@ def format_report(report: RunReport, dry_run: bool = False) -> str:
         f"{len(failed_services)} with failures"
     ]
     for name in sorted(report.per_service):
-        results = report.per_service[name]
-        if not results:
-            lines.append(f"  {name}: no stages ran")
-            continue
         parts = []
-        for result in results:
+        for result in report.per_service[name]:
             if result.success:
                 parts.append(f"{result.stage} ok")
             else:

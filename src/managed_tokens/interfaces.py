@@ -145,9 +145,10 @@ class NotificationSink(Protocol):
 class AdapterBundle:
     """Every external dependency of a run, injected as one value.
 
-    ``metrics_http`` defaults to ``http`` when unset; tests point it at a
-    recording gateway. ``rng`` feeds retry jitter only. ``close`` releases
-    what the adapters hold open: the real bundle's HTTP session.
+    ``http`` reaches the identity registry; ``metrics_http`` carries the
+    telemetry (Pushgateway and span collector), so each can trust its own
+    CA. ``rng`` feeds retry jitter only. ``close`` releases what the
+    adapters hold open: the real bundle's HTTP sessions.
     """
 
     runner: CommandRunner
@@ -155,9 +156,6 @@ class AdapterBundle:
     http: HttpAdapter
     sink: NotificationSink
     clock: Clock
-    metrics_http: Optional[HttpAdapter] = None
+    metrics_http: HttpAdapter
     rng: random.Random = field(default_factory=random.Random)
     close: Callable[[], None] = lambda: None
-
-    def gateway_http(self) -> HttpAdapter:
-        return self.metrics_http if self.metrics_http is not None else self.http

@@ -3,16 +3,17 @@
 :func:`aggregate` reads the stage results and push outcomes the run's report
 holds. Operators (admin recipients) get a summary of every failed or aborted
 stage and every failed node of the run. Experiment stakeholders are only
-mailed about a (service, node) pair once its *consecutive* distribution
+paged about a (service, node) pair once its *consecutive* distribution
 failures reach the configured threshold, and again every further
 ``threshold`` failures, so persistent breakage surfaces and one-off transient
-noise does not.
+noise does not. A page and the summary are each a :class:`Message`: the
+recipients, subject and body the sink sends, built once.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
@@ -30,26 +31,16 @@ SUBJECT_PREFIX = "[managed-tokens]"
 
 
 @dataclass(frozen=True)
-class NotificationBatch:
-    service: str
+class Message:
+    """One mail, exactly as the sink sends it. A stakeholder page also names
+    its service and the due nodes whose watermark its send advances; the
+    admin summary leaves both empty."""
+
     recipients: tuple[str, ...]
     subject: str
     body: str
-    # (node, consecutive failure count, last error) per due node, node-sorted.
-    node_failures: tuple[tuple[str, int, str], ...]
-    run_id: str
-    generated_at: float
-
-
-@dataclass(frozen=True)
-class AdminSummary:
-    recipients: tuple[str, ...]
-    subject: str
-    body: str
-    stages: tuple[StageResult, ...]  # every failed stage result, by service
-    nodes: tuple[PushOutcome, ...]  # every failed push, by (service, node), with an error
-    run_id: str
-    generated_at: float
+    service: str = ""
+    nodes: tuple[str, ...] = ()
 
 
 def notification_due(counter: FailureCounter, threshold: int) -> bool:
@@ -59,45 +50,7 @@ def notification_due(counter: FailureCounter, threshold: int) -> bool:
     return counter.consecutive_failures - counter.last_notified_count >= threshold
 
 
-def _iso(ts: float) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def render(batch: NotificationBatch) -> str:
-    """Deterministic plain-text body for a stakeholder batch."""
-    lines = [
-        f"service: {batch.service}",
-        f"run: {batch.run_id}",
-        f"generated: {_iso(batch.generated_at)}",
-        "",
-        "vault token distribution to the following submit points keeps failing:",
-        "",
-    ]
-    for node, count, error in batch.node_failures:
-        lines.append(f"node {node}: {count} consecutive failed distribution attempts;"
-                     f" last error: {error}")
-    lines.append("")
-    lines.append("The service will keep retrying on its schedule. If the node is")
-    lines.append("expected to be offline, no action is needed.")
-    return "\n".join(lines) + "\n"
-
-
-def render_admin_summary(summary: AdminSummary) -> str:
-    """Deterministic plain-text body listing every failure of the run: per
-    service, in name order, each failed stage, then each failed node."""
-    lines = [
-        f"run: {summary.run_id}",
-        f"generated: {_iso(summary.generated_at)}",
-        "",
-        f"{len(summary.stages)} failure(s) this run:",
-        "",
-    ]
-    for service in sorted({r.service for r in summary.stages}):
-        lines.append(f"{service}:")
-        lines.extend(f"  - [{r.stage}] {r.detail}"
-                     for r in summary.stages if r.service == service)
-        lines.extend(f"  - [push] node={o.node} {o.error}"
-                     for o in summary.nodes if o.service == service)
+def _text(lines: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
@@ -108,106 +61,111 @@ def aggregate(
     config: GlobalConfig,
     run_id: str,
     now: float,
-) -> tuple[list[NotificationBatch], AdminSummary]:
+) -> tuple[list[Message], Optional[Message]]:
     """Turn the run's stage results and push outcomes, each by service, into
-    stakeholder batches plus an admin summary.
+    stakeholder pages plus an admin summary, ``None`` when no stage failed.
 
     ``counters`` holds the failure counters this run saved, by (service,
     node). Only a node whose push failed this run and whose saved counter is
     notification-due is paged, with that push's error; a node whose counter
     was not saved is never paged from an older one. Nothing is written here;
-    :func:`dispatch` advances a node's watermark once its batch is sent.
+    :func:`dispatch` advances a node's watermark once its page is sent.
     Non-push failures (registry, ticket, vault store, an aborted stage) and
     a push that failed as a whole reach only the admin summary, once each.
-    The summary lists the services with a failed stage result; the engine
-    gives every service with a failed node a failed push result.
+    The summary lists, per service in name order, each failed stage, then
+    each failed node; the engine gives every service with a failed node a
+    failed push result.
     """
     threshold = config.notification.threshold
-    failed_stages = tuple(r for service in sorted(results)
-                          for r in results[service] if not r.success)
-    failed_nodes = tuple(sorted((o for pushed in outcomes.values() for o in pushed
-                                 if not o.success), key=lambda o: (o.service, o.node)))
+    generated = datetime.fromtimestamp(now, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    failed_stages = [r for service in sorted(results)
+                     for r in results[service] if not r.success]
+    failed_nodes = sorted((o for pushed in outcomes.values() for o in pushed
+                           if not o.success), key=lambda o: (o.service, o.node))
 
-    due: dict[str, list[tuple[str, int, str]]] = {}
-    for outcome in failed_nodes:
-        counter = counters.get((outcome.service, outcome.node))
+    due: dict[str, dict[str, str]] = {}  # service -> due node -> its body line
+    for o in failed_nodes:
+        counter = counters.get((o.service, o.node))
         if counter is not None and notification_due(counter, threshold):
-            due.setdefault(outcome.service, []).append(
-                (outcome.node, counter.consecutive_failures, outcome.error))
+            due.setdefault(o.service, {})[o.node] = (
+                f"node {o.node}: {counter.consecutive_failures} consecutive failed "
+                f"distribution attempts; last error: {o.error}")
 
-    batches: list[NotificationBatch] = []
-    for service in sorted(due):
-        batch = NotificationBatch(
-            service=service,
-            recipients=config.services[service].stakeholder_emails,
-            subject=f"{SUBJECT_PREFIX} {service}: token distribution failures",
-            body="",
-            node_failures=tuple(due[service]),
-            run_id=run_id,
-            generated_at=now,
-        )
-        batches.append(replace(batch, body=render(batch)))
+    pages = [Message(
+        recipients=config.services[service].stakeholder_emails,
+        subject=f"{SUBJECT_PREFIX} {service}: token distribution failures",
+        body=_text([f"service: {service}", f"run: {run_id}", f"generated: {generated}", "",
+                    "vault token distribution to the following submit points keeps failing:",
+                    "", *nodes.values(), "",
+                    "The service will keep retrying on its schedule. If the node is",
+                    "expected to be offline, no action is needed."]),
+        service=service,
+        nodes=tuple(nodes),
+    ) for service, nodes in sorted(due.items())]
+    if not failed_stages:
+        return pages, None
 
-    services_affected = len({r.service for r in failed_stages})
-    summary = AdminSummary(
+    services = sorted({r.service for r in failed_stages})
+    lines = [f"run: {run_id}", f"generated: {generated}", "",
+             f"{len(failed_stages)} failure(s) this run:", ""]
+    for service in services:
+        lines.append(f"{service}:")
+        lines.extend(f"  - [{r.stage}] {r.detail}"
+                     for r in failed_stages if r.service == service)
+        lines.extend(f"  - [push] node={o.node} {o.error}"
+                     for o in failed_nodes if o.service == service)
+    return pages, Message(
         recipients=config.notification.admin_recipients,
         subject=(f"{SUBJECT_PREFIX} run {run_id}: {len(failed_stages)} failure(s) "
-                 f"across {services_affected} service(s)"),
-        body="",
-        stages=failed_stages,
-        nodes=failed_nodes,
-        run_id=run_id,
-        generated_at=now,
-    )
-    summary = replace(summary, body=render_admin_summary(summary))
-    return batches, summary
+                 f"across {len(services)} service(s)"),
+        body=_text(lines))
 
 
 def dispatch(
-    batches: Iterable[NotificationBatch],
-    summary: Optional[AdminSummary],
+    pages: Iterable[Message],
+    summary: Optional[Message],
     sink: NotificationSink,
     store: Store,
 ) -> int:
-    """Send every batch plus the admin summary (when it lists a failed stage).
+    """Send every page, then the admin summary when there is one.
 
-    A batch's due nodes are marked notified in ``store``, in one transaction,
-    only once its send returns, so a failed send, or a batch without
+    A page's nodes are marked notified in ``store``, in one transaction,
+    only once its send returns, so a failed send, or a page without
     recipients, stays due for the next run. Sink and store failures are
     logged and skipped, never raised: notification delivery must not take
-    the run down. A batch whose watermark was not saved stays due, so it
+    the run down. A page whose watermark was not saved stays due, so it
     may be sent again next run: pages are at-least-once. The admin summary
-    goes out last, so its body also names every batch that had no
+    goes out last, so its body also names every page that had no
     recipients and every watermark not saved. Returns the number of
     successful sends.
     """
     sent = 0
     unsettled: list[str] = []
-    for batch in batches:
-        if not batch.recipients:
-            unsettled.append(f"batch not sent service={batch.service}: "
+    for page in pages:
+        if not page.recipients:
+            unsettled.append(f"batch not sent service={page.service}: "
                              "no stakeholder_emails")
             logger.warning("%s", unsettled[-1])
             continue
         try:
-            sink.send(batch.recipients, batch.subject, batch.body)
+            sink.send(page.recipients, page.subject, page.body)
         except Exception as exc:
-            logger.error("notification send failed service=%s error=%s", batch.service, exc)
+            logger.error("notification send failed service=%s error=%s", page.service, exc)
             continue
         sent += 1
         try:
             with store.transaction():
-                for node, _, _ in batch.node_failures:
-                    store.mark_notified(batch.service, node)
+                for node in page.nodes:
+                    store.mark_notified(page.service, node)
         except Exception as exc:
-            unsettled.append(f"watermark not saved service={batch.service} "
+            unsettled.append(f"watermark not saved service={page.service} "
                              f"error={describe_error(exc)}")
             logger.error("%s", unsettled[-1])
-    if summary is not None and summary.stages:
+    if summary is not None:
         if not summary.recipients:
             logger.warning("no admin recipients configured; run summary not sent")
         else:
-            body = "\n".join([summary.body, *unsettled, ""]) if unsettled else summary.body
+            body = _text([summary.body, *unsettled]) if unsettled else summary.body
             try:
                 sink.send(summary.recipients, summary.subject, body)
                 sent += 1

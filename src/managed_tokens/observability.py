@@ -17,6 +17,7 @@ import logging
 import logging.handlers
 import os
 import sys
+import time
 import urllib.parse
 import uuid
 from dataclasses import asdict, dataclass, field
@@ -221,6 +222,7 @@ def export_spans(
 # -- logging -------------------------------------------------------------------
 
 LOG_FORMAT = "ts=%(asctime)s level=%(levelname)s logger=%(name)s %(message)s"
+LOG_DATEFMT = "%Y-%m-%dT%H:%M:%SZ"  # UTC, so ``ts`` is one logfmt token
 
 
 def setup_logging(verbosity: int = 0, state_dir: Optional[str] = None) -> None:
@@ -233,9 +235,11 @@ def setup_logging(verbosity: int = 0, state_dir: Optional[str] = None) -> None:
     for handler in list(root.handlers):
         root.removeHandler(handler)
         handler.close()  # a StreamHandler leaves its stream (stderr) open
+    formatter = logging.Formatter(LOG_FORMAT, LOG_DATEFMT)
+    formatter.converter = time.gmtime
     stderr_handler = logging.StreamHandler(sys.stderr)
     stderr_handler.setLevel(level)
-    stderr_handler.setFormatter(logging.Formatter(LOG_FORMAT))
+    stderr_handler.setFormatter(formatter)
     root.addHandler(stderr_handler)
     if state_dir:
         log_dir = os.path.join(state_dir, "log")
@@ -245,5 +249,5 @@ def setup_logging(verbosity: int = 0, state_dir: Optional[str] = None) -> None:
             maxBytes=5 * 1024 * 1024, backupCount=3,
         )
         file_handler.setLevel(logging.INFO)
-        file_handler.setFormatter(logging.Formatter(LOG_FORMAT))
+        file_handler.setFormatter(formatter)
         root.addHandler(file_handler)

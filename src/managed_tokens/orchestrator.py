@@ -278,9 +278,9 @@ def run_token_push(
         sent = 0
         counters = stages.save()  # a dry run pushed nothing, so it saves only UIDs
         if not dry_run:
-            batches, summary = notifications.aggregate(
+            pages, summary = notifications.aggregate(
                 stages.results, stages.outcomes, counters, config, run_id, clock.now())
-            sent = notifications.dispatch(batches, summary, deps.sink, store)
+            sent = notifications.dispatch(pages, summary, deps.sink, store)
     finally:
         store.close()
 
@@ -312,7 +312,7 @@ def _push_metrics(config: GlobalConfig, deps: AdapterBundle, job: str,
                   grouping: Optional[Mapping[str, str]] = None) -> None:
     if config.metrics_gateway_url:
         observability.push_metrics(observability.render_exposition(samples),
-                                   config.metrics_gateway_url, job, deps.gateway_http(),
+                                   config.metrics_gateway_url, job, deps.metrics_http,
                                    grouping=grouping)
 
 
@@ -322,7 +322,7 @@ def _emit_run_telemetry(report: RunReport, config: GlobalConfig, deps: AdapterBu
                   observability.report_to_metrics(report), grouping)
     if config.trace_export:
         observability.export_spans(build_spans(report), config.trace_export,
-                                   http=deps.http)
+                                   http=deps.metrics_http)
 
 
 def build_spans(report: RunReport) -> list[observability.SpanRecord]:

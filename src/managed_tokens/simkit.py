@@ -57,6 +57,7 @@ from .interfaces import (
     TransportError,
     TransportTimeout,
 )
+from .notifications import Message
 
 logger = logging.getLogger(__name__)
 
@@ -467,19 +468,12 @@ def synthetic_uid(account: str) -> int:
 # -- recording sink and gateway --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SentMessage:
-    recipients: tuple[str, ...]
-    subject: str
-    body: str
-
-
 class RecordingSink:
     """NotificationSink double that records messages; optionally scripted to
     fail (``RuntimeError``) or hang (``TimeoutError``), and then records none."""
 
     def __init__(self, schedule: Optional[FaultSchedule] = None):
-        self.messages: list[SentMessage] = []
+        self.messages: list[Message] = []
         self.faults = Faults({"send": schedule} if schedule is not None else {},
                               SystemClock())
         self._mutex = threading.Lock()
@@ -491,7 +485,7 @@ class RecordingSink:
         if behavior.kind == "hang":
             raise TimeoutError("notification send timed out")
         with self._mutex:
-            self.messages.append(SentMessage(tuple(recipients), subject, body))
+            self.messages.append(Message(tuple(recipients), subject, body))
 
 
 class LoggingSink:

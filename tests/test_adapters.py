@@ -4,10 +4,12 @@ an HTTP server and an SMTP responder on 127.0.0.1. Nothing leaves the machine.""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import email
 import email.policy
 import http.server
 import os
+import re
 import shlex
 import socket
 import socketserver
@@ -17,7 +19,9 @@ import threading
 import time
 
 import pytest
+import yaml
 
+from managed_tokens import simkit
 from managed_tokens.adapters import (
     CommandTransferAdapter,
     RealCommandRunner,
@@ -25,6 +29,7 @@ from managed_tokens.adapters import (
     SmtpNotificationSink,
     build_bundle,
 )
+from managed_tokens.cli import EXIT_PARTIAL, main_token_push
 from managed_tokens.interfaces import (
     CommandTimeout,
     TransferError,
@@ -33,7 +38,7 @@ from managed_tokens.interfaces import (
 )
 from managed_tokens.orchestrator import run_token_push
 
-from conftest import make_bundle
+from conftest import Site, make_bundle
 
 
 @contextlib.contextmanager
@@ -169,14 +174,18 @@ class _HttpHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+@pytest.fixture
+def direct_loopback(monkeypatch):
+    """Talk to 127.0.0.1 directly, whatever proxy the environment names."""
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY",
+                 "http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+
+
 class TestRequestsHttpAdapter:
     @pytest.fixture
-    def adapter(self, monkeypatch):
-        # Talk to 127.0.0.1 directly, whatever proxy the environment names.
-        for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY",
-                     "http_proxy", "https_proxy", "all_proxy"):
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    def adapter(self, direct_loopback):
         adapter = RequestsHttpAdapter()
         yield adapter
         adapter.close()
@@ -250,7 +259,7 @@ class TestSmtpNotificationSink:
         assert message.get_content() == "submit1 failed 3 runs in a row\n.hidden line\n"
 
 
-def test_real_bundle_is_wired_from_the_config(site):
+def test_real_bundle_is_wired_from_the_config(site, monkeypatch):
     site.add_service("dune_production")
     cfg = site.config(
         adapter_mode="real",
@@ -258,11 +267,20 @@ def test_real_bundle_is_wired_from_the_config(site):
         registry={"base_url": "https://registry.example.org", "ca_bundle": "/etc/ca.pem"},
         notification={"smtp_server": "mail.example.org", "smtp_port": 2525,
                       "from_address": "tokens@example.org"})
+    closed = []
+    close = RequestsHttpAdapter.close
+    monkeypatch.setattr(RequestsHttpAdapter, "close",
+                        lambda adapter: (closed.append(adapter), close(adapter)))
     bundle = build_bundle(cfg)
     bundle.close()
     assert bundle.transfer.template == "scp {local} {node}:{remote}"
     assert bundle.transfer.runner is bundle.runner
     assert bundle.http.ca_bundle == "/etc/ca.pem"
+    # Telemetry is not verified against the registry's CA.
+    assert isinstance(bundle.metrics_http, RequestsHttpAdapter)
+    assert bundle.metrics_http is not bundle.http
+    assert bundle.metrics_http.ca_bundle is None
+    assert closed == [bundle.http, bundle.metrics_http]
     assert (bundle.sink.server, bundle.sink.port, bundle.sink.from_address) == (
         "mail.example.org", 2525, "tokens@example.org")
 
@@ -307,3 +325,117 @@ def test_hung_storer_cannot_ship_its_token_for_another_service(site, tmp_path):
     for (node, _), content in bundle.transfer.files().items():
         assert node == cfg.services[other].nodes[0]
         assert content == f"hvs.TOKEN-OF-{other}\n".encode()
+
+
+# Stand-ins for the real commands. kinit and the storer check what the
+# program hands them; the copy lands at {root}/nodes/<node>/<remote> by a
+# temporary file and a rename, and refuses down.example.org. None leaves a
+# process behind.
+STANDINS = {
+    "kinit": """\
+#!/bin/sh
+[ "$1 $2 $4" = "-k -t -c" ] && [ -f "$3" ] && [ "$KRB5CCNAME" = "FILE:$5" ] || exit 2
+echo "$6" > "$5"
+""",
+    "condor_vault_storer": """\
+#!/bin/sh
+case "$KRB5CCNAME" in FILE:*/krb5cc/"$1") ;; *) exit 3 ;; esac
+[ -f "${KRB5CCNAME#FILE:}" ] && [ -n "$_condor_CREDD_HOST" ] || exit 3
+echo "hvs.$1.$_condor_CREDD_HOST" > "$MANAGED_TOKENS_DEFAULT_TOKEN_PATH"
+""",
+    "copy": """\
+#!/bin/sh
+[ "$2" = down.example.org ] && { echo "ssh: connect to host $2: refused" >&2; exit 255; }
+dest={root}/nodes/$2$3
+mkdir -p "${dest%/*}" && cp "$1" "$dest.tmp" && mv "$dest.tmp" "$dest"
+""",
+}
+
+
+class _GatewayHandler(http.server.BaseHTTPRequestHandler):
+    """A Pushgateway that accepts every PUT and records its path."""
+
+    def do_PUT(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append(("PUT", self.path))
+        self.send_response(200)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+def _two_services(site: Site) -> None:
+    site.add_service("dune_production")
+    site.add_service("mu2e_production", nodes=("submit1.example.org", "down.example.org"))
+    site.seed_uids(site.uid_map())
+
+
+def _run_settings(**notification) -> dict:
+    return {"notification": {"admin_recipients": ["ops@example.org"], "threshold": 1,
+                             **notification},
+            "retry": {"max_attempts": 2, "base_backoff": "1ms"}}
+
+
+def _subjects(messages) -> list[str]:
+    return [re.sub(r"run \w+:", "run <id>:", subject) for subject in messages]
+
+
+def test_real_mode_run_end_to_end(site, tmp_path, direct_loopback):
+    """token-push in real mode: real processes, files, HTTP and SMTP."""
+    _two_services(site)
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    for name, script in STANDINS.items():
+        (bin_dir / name).write_text(script.replace("{root}", shlex.quote(str(tmp_path))))
+        (bin_dir / name).chmod(0o755)
+    gateway = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _GatewayHandler)
+    gateway.requests = []
+    smtp = socketserver.TCPServer(("127.0.0.1", 0), _SmtpHandler)
+    smtp.messages, smtp.envelope = [], []
+    config = site.config_path(
+        adapter_mode="real",
+        commands={"ticket": f"{bin_dir}/kinit -k -t {{keytab}} -c {{cache}} {{principal}}",
+                  "storer": f"{bin_dir}/condor_vault_storer {{service}}",
+                  "transfer": f"{bin_dir}/copy {{local}} {{node}} {{remote}}"},
+        metrics_gateway_url=f"http://127.0.0.1:{gateway.server_address[1]}",
+        **_run_settings(smtp_server="127.0.0.1", smtp_port=smtp.server_address[1]))
+    with serving(gateway), serving(smtp):
+        assert main_token_push(["--config", config]) == EXIT_PARTIAL
+    with pytest.raises(ChildProcessError):  # every command was waited for
+        os.waitpid(-1, os.WNOHANG)
+
+    landed = {str(path.relative_to(tmp_path / "nodes")): path.read_bytes()
+              for path in (tmp_path / "nodes").rglob("*") if path.is_file()}
+    expected = {}
+    uids = site.uid_map()
+    for name, account in site.accounts.items():
+        uid = uids[account]
+        assert not (site.tmp_dir / f"vt_u{uid}").exists()  # moved off the shared path
+        token = (site.state_dir / "tokens" / name / "vaulttoken").read_bytes()
+        assert token == f"hvs.{name}.credd1.example.org\n".encode()
+        issuer = name.split("_")[0] + "vault"
+        for node in site.services[name]["nodes"]:
+            if node != "down.example.org":
+                for remote in (f"vt_u{uid}", f"vt_u{uid}-{issuer}_production"):
+                    expected[f"{node}{site.tmp_dir}/{remote}"] = token
+    assert landed == expected  # byte-equal, and no temporary file left
+    assert gateway.requests == [("PUT", "/metrics/job/managed_tokens")]
+
+    mails = [email.message_from_bytes(raw, policy=email.policy.default)
+             for raw in smtp.messages]
+    assert [m["To"] for m in mails] == ["mu2e_production-admins@example.org",
+                                        "ops@example.org"]
+    # The rehearsal adapters, with the same node down, send the same subjects.
+    twin = Site(tmp_path / "simulation")
+    _two_services(twin)
+    faults = twin.root / "faults.yaml"
+    faults.write_text(yaml.safe_dump({"transfer:down.example.org": {
+        "pattern": [{"fail": "refused"}]}}))
+    twin_config = twin.config(adapter_mode="simulation",
+                              simulation={"fault_schedules": str(faults)}, **_run_settings())
+    bundle = dataclasses.replace(build_bundle(twin_config), sink=simkit.RecordingSink())
+    run_token_push(twin_config, bundle)
+    assert _subjects(m["Subject"] for m in mails) == _subjects(
+        m.subject for m in bundle.sink.messages)

@@ -17,11 +17,9 @@ from managed_tokens.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_SETUP,
-    format_report,
     main_refresh_uids,
     main_token_push,
 )
-from managed_tokens.orchestrator import RunReport
 from managed_tokens.statestore import open_store
 
 
@@ -366,13 +364,6 @@ class TestPackaging:
 
 
 class TestFormatReport:
-    def test_empty_stage_list_is_called_out(self):
-        report = RunReport(run_id="r1", started=0.0, ended=1.0,
-                           per_service={"a_svc": ()})
-        text = format_report(report)
-        assert "a_svc: no stages ran" in text
-        assert "1 service(s), 0 with failures" in text
-
     def test_empty_transfer_error_reads_transfer_failed(self, sim_site, capsys):
         faults = {"transfer:submit2.example.org": {"pattern": [{"fail": ""}]}}
         config = sim_config(sim_site, fault_schedules=faults, retry={"max_attempts": 1})

@@ -3,20 +3,15 @@
 from __future__ import annotations
 
 import itertools
+from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from managed_tokens import simkit
 from managed_tokens.distribution import PushOutcome
-from managed_tokens.notifications import (
-    AdminSummary,
-    aggregate,
-    dispatch,
-    render,
-    render_admin_summary,
-)
+from managed_tokens.notifications import Message, aggregate, dispatch
 from managed_tokens.orchestrator import StageResult
 from managed_tokens.statestore import FailureCounter, open_store
 
@@ -80,16 +75,16 @@ class TestAggregate:
         cfg = self.make_config(dune_production={})
         ticket = StageResult("dune_production", "ticket", True, 100.0, 100.0)
         pushed = PushOutcome("dune_production", "submit1.example.org", True, 1)
-        batches, summary = aggregate({"dune_production": [ticket]},
-                                     {"dune_production": [pushed]}, {}, cfg, "r1", now=500.0)
-        assert batches == []
-        assert (summary.stages, summary.nodes) == ((), ())
+        pages, summary = aggregate({"dune_production": [ticket]},
+                                   {"dune_production": [pushed]}, {}, cfg, "r1", now=500.0)
+        assert pages == []
+        assert summary is None
 
     def test_below_threshold_reaches_only_the_admin_summary(self):
         cfg = self.make_config(dune_production={})
-        batches, summary = aggregate(*run_record(push_failure()), streak(2), cfg, "r1", 500.0)
-        assert batches == []
-        assert summary.nodes == (push_failure(),)
+        pages, summary = aggregate(*run_record(push_failure()), streak(2), cfg, "r1", 500.0)
+        assert pages == []
+        assert summary.body.endswith("  - [push] node=submit1.example.org no route to host\n")
 
     def test_batch_at_threshold(self):
         cfg = self.make_config(dune_production={})
@@ -97,21 +92,30 @@ class TestAggregate:
         with open_store(str(self.site.state_dir)) as store:
             seed_failures(store, "dune_production", "submit1.example.org", 3)
             saved = {KEY: store.get_counter(*KEY)}
-            batches, summary = aggregate(*record, saved, cfg, "r1", 500.0)
-            (batch,) = batches
-            assert batch.subject == ("[managed-tokens] dune_production: "
-                                     "token distribution failures")
-            assert batch.recipients == ("dune_production-admins@example.org",)
-            assert batch.node_failures == (
-                ("submit1.example.org", 3, "no route to host"),)
-            assert "3 consecutive failed distribution attempts" in batch.body
-            assert batch.body == render(batch)
-            # Aggregating writes nothing: the batch stays due until it is sent.
+            pages, summary = aggregate(*record, saved, cfg, "r1", 500.0)
+            (page,) = pages
+            assert page.subject == ("[managed-tokens] dune_production: "
+                                    "token distribution failures")
+            assert page.recipients == ("dune_production-admins@example.org",)
+            assert (page.service, page.nodes) == ("dune_production", ("submit1.example.org",))
+            assert page.body == (
+                "service: dune_production\n"
+                "run: r1\n"
+                "generated: 1970-01-01T00:08:20Z\n"
+                "\n"
+                "vault token distribution to the following submit points keeps failing:\n"
+                "\n"
+                "node submit1.example.org: 3 consecutive failed distribution attempts;"
+                " last error: no route to host\n"
+                "\n"
+                "The service will keep retrying on its schedule. If the node is\n"
+                "expected to be offline, no action is needed.\n")
+            # Aggregating writes nothing: the page stays due until it is sent.
             again, _ = aggregate(*record, {KEY: store.get_counter(*KEY)},
                                  cfg, "r1", 500.0)
-            assert again == batches
+            assert again == pages
             # Sending advanced the watermark: aggregating again stays quiet.
-            assert dispatch(batches, None, simkit.RecordingSink(), store) == 1
+            assert dispatch(pages, None, simkit.RecordingSink(), store) == 1
             after = store.get_counter(*KEY)
             assert after.last_notified_count == 3
             again, _ = aggregate(*record, {KEY: after}, cfg, "r1", 500.0)
@@ -119,17 +123,20 @@ class TestAggregate:
 
     def test_non_push_failures_never_page_stakeholders(self):
         cfg = self.make_config(dune_production={})
-        batches, summary = aggregate(
+        pages, summary = aggregate(
             *run_record(stage_failure(stage="ticket"),
                         stage_failure(stage="vault_store", detail="storer died")),
             streak(5), cfg, "r1", 500.0)
-        assert batches == []
-        assert len(summary.stages) == 2
+        assert pages == []
+        assert summary.subject.endswith("2 failure(s) across 1 service(s)")
+        assert summary.body.endswith("dune_production:\n"
+                                     "  - [ticket] kinit failed\n"
+                                     "  - [vault_store] storer died\n")
 
     def test_stale_counter_without_a_fresh_event_stays_quiet(self):
         cfg = self.make_config(dune_production={})
-        batches, _ = aggregate({}, {}, streak(5), cfg, "r1", 500.0)
-        assert batches == []
+        pages, _ = aggregate({}, {}, streak(5), cfg, "r1", 500.0)
+        assert pages == []
 
     def test_two_services_two_batches_disjoint_recipients(self):
         cfg = self.make_config(
@@ -141,8 +148,8 @@ class TestAggregate:
         saved = {**streak(3),
                  **streak(5, notified=4, service="mu2e_production",
                           node="submit2.example.org")}
-        batches, _ = aggregate(*record, saved, cfg, "r1", 500.0)
-        assert [b.service for b in batches] == ["dune_production"]
+        pages, _ = aggregate(*record, saved, cfg, "r1", 500.0)
+        assert [p.service for p in pages] == ["dune_production"]
 
         # Reference replay of the same history agrees.
         reference = ReferenceCounter()
@@ -172,8 +179,8 @@ class TestAggregate:
             saved.update(streak(reference.streak, reference.watermark, service, node))
             if reference.due(3):
                 expected_due.add(service)
-        batches, _ = aggregate(*record, saved, cfg, "r1", 500.0)
-        assert {b.service for b in batches} == expected_due
+        pages, _ = aggregate(*record, saved, cfg, "r1", 500.0)
+        assert {p.service for p in pages} == expected_due
 
     def test_summary_lists_every_event_exactly_once(self):
         cfg = self.make_config(dune_production={}, mu2e_production={})
@@ -185,8 +192,8 @@ class TestAggregate:
         results["dune_production"].append(stage_failure(
             stage="push", detail="failure counters not saved: StoreError: disk full"))
         _, summary = aggregate(results, outcomes, {}, cfg, "r7", 500.0)
-        assert summary.stages == (*results["dune_production"], *results["mu2e_production"])
-        assert summary.nodes == (push_failure(),)
+        assert (summary.recipients, summary.service, summary.nodes) == (
+            ("ops@example.org",), "", ())
         assert summary.subject == ("[managed-tokens] run r7: 3 failure(s) "
                                    "across 2 service(s)")
         assert summary.body == (
@@ -201,7 +208,6 @@ class TestAggregate:
             "  - [push] node=submit1.example.org no route to host\n"
             "mu2e_production:\n"
             "  - [registry] registry returned HTTP 500\n")
-        assert summary.body == render_admin_summary(summary)
 
     def test_order_insensitive(self):
         cfg = self.make_config(dune_production={}, mu2e_production={})
@@ -215,9 +221,8 @@ class TestAggregate:
         ]
         rendered = set()
         for permutation in itertools.permutations(failures):
-            batches, summary = aggregate(*run_record(*permutation), saved, cfg, "r1", 500.0)
-            rendered.add((tuple((b.subject, b.body, b.recipients)
-                                for b in batches), summary.body))
+            pages, summary = aggregate(*run_record(*permutation), saved, cfg, "r1", 500.0)
+            rendered.add((tuple(pages), summary))
         (only,) = rendered
         assert len(only[0]) == 2  # both services paged, whatever the order
 
@@ -225,8 +230,8 @@ class TestAggregate:
         cfg = self.make_config(dune_production={})
         failed = stage_failure(stage="push",
                                detail="ValueError: destination paths must be distinct")
-        batches, summary = aggregate(*run_record(failed), streak(5), cfg, "r1", 500.0)
-        assert batches == []
+        pages, summary = aggregate(*run_record(failed), streak(5), cfg, "r1", 500.0)
+        assert pages == []
         assert summary.subject.endswith("1 failure(s) across 1 service(s)")
         assert summary.body.count("ValueError") == 1
 
@@ -234,9 +239,11 @@ class TestAggregate:
 class TestDispatch:
     NODE = "submit1.example.org"
 
-    def batch(self, service="dune_production",
-              recipients=("dune-admins@example.org",)):
-        return aggregate_free_batch(service, recipients)
+    def page(self, service="dune_production",
+             recipients=("dune-admins@example.org",)):
+        return Message(tuple(recipients),
+                       f"[managed-tokens] {service}: token distribution failures",
+                       "body\n", service=service, nodes=(self.NODE,))
 
     @pytest.fixture
     def store(self, site):
@@ -248,10 +255,8 @@ class TestDispatch:
 
     def test_batches_plus_summary(self, store):
         sink = simkit.RecordingSink()
-        batches = [self.batch(), self.batch("mu2e_production",
-                                            ("mu2e-admins@example.org",))]
-        summary = make_summary(stages=(stage_failure(),))
-        sent = dispatch(batches, summary, sink, store)
+        pages = [self.page(), self.page("mu2e_production", ("mu2e-admins@example.org",))]
+        sent = dispatch(pages, SUMMARY, sink, store)
         assert sent == 3
         assert [m.recipients for m in sink.messages] == [
             ("dune-admins@example.org",),
@@ -259,15 +264,19 @@ class TestDispatch:
             ("ops@example.org",),
         ]
 
-    def test_empty_event_summary_not_sent(self, store):
+    def test_empty_event_summary_not_sent(self, site, store):
+        site.add_service("dune_production")
+        ticket = StageResult("dune_production", "ticket", True, 100.0, 100.0)
+        pages, summary = aggregate({"dune_production": [ticket]}, {}, {}, site.config(),
+                                   "r1", 500.0)
         sink = simkit.RecordingSink()
-        assert dispatch([], make_summary(stages=()), sink, store) == 0
+        assert dispatch(pages, summary, sink, store) == 0
         assert sink.messages == []
 
     def test_missing_recipients_skipped(self, store):
         seed_failures(store, "dune_production", self.NODE, 3)
         sink = simkit.RecordingSink()
-        sent = dispatch([self.batch(recipients=())], None, sink, store)
+        sent = dispatch([self.page(recipients=())], None, sink, store)
         assert sent == 0
         assert sink.messages == []
         assert self.watermark(store, "dune_production") == 0  # still due
@@ -275,8 +284,7 @@ class TestDispatch:
     def test_batch_without_recipients_is_named_in_the_summary(self, store):
         seed_failures(store, "dune_production", self.NODE, 3)
         sink = simkit.RecordingSink()
-        summary = make_summary(stages=(stage_failure(),))
-        assert dispatch([self.batch(recipients=())], summary, sink, store) == 1
+        assert dispatch([self.page(recipients=())], SUMMARY, sink, store) == 1
         (message,) = sink.messages
         assert message.body == ("body\n\n"
                                 "batch not sent service=dune_production: "
@@ -289,9 +297,8 @@ class TestDispatch:
         sink = simkit.RecordingSink(schedule=simkit.FaultSchedule(
             "sink", (simkit.fail("smtp down"), simkit.succeed(),
                      simkit.succeed())))
-        batches = [self.batch(), self.batch("mu2e_production",
-                                            ("mu2e-admins@example.org",))]
-        sent = dispatch(batches, make_summary(stages=(stage_failure(),)), sink, store)
+        pages = [self.page(), self.page("mu2e_production", ("mu2e-admins@example.org",))]
+        sent = dispatch(pages, SUMMARY, sink, store)
         assert sent == 2
         assert [m.recipients[0] for m in sink.messages] == [
             "mu2e-admins@example.org", "ops@example.org"]
@@ -299,31 +306,23 @@ class TestDispatch:
         assert self.watermark(store, "mu2e_production") == 3
 
 
-def aggregate_free_batch(service, recipients):
-    from managed_tokens.notifications import NotificationBatch
-    return NotificationBatch(
-        service=service, recipients=tuple(recipients),
-        subject=f"[managed-tokens] {service}: token distribution failures",
-        body="body\n",
-        node_failures=(("submit1.example.org", 3, "no route to host"),),
-        run_id="r1", generated_at=500.0)
-
-
-def make_summary(stages):
-    return AdminSummary(recipients=("ops@example.org",),
-                        subject="[managed-tokens] run r1: summary",
-                        body="body\n", stages=stages, nodes=(), run_id="r1",
-                        generated_at=500.0)
+SUMMARY = Message(("ops@example.org",), "[managed-tokens] run r1: summary", "body\n")
 
 
 class TestRenderDeterminism:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(count=st.integers(min_value=1, max_value=50),
            at=st.floats(min_value=0, max_value=2_000_000_000, allow_nan=False))
-    def test_batch_body_is_a_pure_function_of_the_batch(self, count, at):
-        batch = aggregate_free_batch("svc_x", ("a@example.org",))
-        from dataclasses import replace
-        batch = replace(batch, node_failures=(("n1", count, "err"),),
-                        generated_at=at)
-        assert render(batch) == render(batch)
-        assert render(batch).endswith("\n")
-        assert f"{count} consecutive" in render(batch)
+    def test_batch_body_is_a_pure_function_of_the_batch(self, site, count, at):
+        # The config is only read, so one site serves every example.
+        if "svc_x" not in site.services:
+            site.add_service("svc_x", nodes=("n1",))
+        cfg = site.config(notification={"threshold": 1})
+        record = run_record(push_failure(service="svc_x", node="n1", error="err"))
+        saved = streak(count, service="svc_x", node="n1")
+        (page,) = aggregate(*record, saved, cfg, "r1", at)[0]
+        assert aggregate(*record, saved, cfg, "r1", at)[0] == [page]
+        assert page.body.endswith("\n")
+        assert f"{count} consecutive" in page.body
+        generated = datetime.fromtimestamp(at, tz=timezone.utc)
+        assert f"generated: {generated:%Y-%m-%dT%H:%M:%SZ}\n" in page.body

@@ -293,6 +293,16 @@ class TestSetupLogging:
         assert "hello from the suite" in text
         assert "level=INFO" in text
 
+    def test_timestamp_is_one_logfmt_token_in_utc(self, tmp_path):
+        setup_logging(verbosity=1, state_dir=str(tmp_path))
+        record = logging.makeLogRecord({"name": "managed_tokens", "levelname": "INFO",
+                                        "msg": "run started run_id=r1",
+                                        "created": 1_792_612_522.268})
+        for handler in logging.getLogger().handlers:  # stderr and the log file
+            ts, rest = handler.format(record).split(" ", 1)
+            assert ts == "ts=2026-10-21T19:55:22Z"
+            assert rest == "level=INFO logger=managed_tokens run started run_id=r1"
+
     def test_reconfiguring_closes_the_replaced_log_file(self, tmp_path):
         setup_logging(verbosity=1, state_dir=str(tmp_path))
         first = next(h for h in logging.getLogger().handlers

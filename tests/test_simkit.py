@@ -19,6 +19,7 @@ from managed_tokens.interfaces import (
     TransportError,
     TransportTimeout,
 )
+from managed_tokens.notifications import Message
 from managed_tokens.orchestrator import run_token_push
 from managed_tokens.registry import HttpError, fetch_uid
 
@@ -328,7 +329,7 @@ class TestRecorders:
     def test_recording_sink_captures_messages(self):
         sink = simkit.RecordingSink()
         sink.send(["a@x.org"], "subj", "body")
-        assert sink.messages == [simkit.SentMessage(("a@x.org",), "subj", "body")]
+        assert sink.messages == [Message(("a@x.org",), "subj", "body")]
 
     def test_recording_sink_scripted_failure(self):
         sink = simkit.RecordingSink(schedule=simkit.FaultSchedule(
