@@ -58,8 +58,10 @@ class RealCommandRunner:
         if env_overrides:
             env.update(env_overrides)
         try:
+            # A byte that is not valid text must not fail a command that succeeded.
             proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                    text=True, env=env, start_new_session=True)
+                                    text=True, errors="replace", env=env,
+                                    start_new_session=True)
         except OSError as exc:
             # Missing or unrunnable binary: report as a failed invocation so
             # the caller gets argv and the reason in one place.

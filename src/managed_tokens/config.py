@@ -474,6 +474,8 @@ def load_config(path: str) -> GlobalConfig:
             text = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     return load_config_text(text)
 
 

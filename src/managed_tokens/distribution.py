@@ -193,7 +193,8 @@ class PushScheduler:
         error = None
         if exc is not None:
             retryable = isinstance(exc, TransferError)
-            error = (str(exc) or "transfer failed") if retryable else describe_error(exc)
+            text = " ".join(str(exc).split())  # one line, as describe_error writes
+            error = (text or "transfer failed") if retryable else describe_error(exc)
             logger.warning("transfer attempt failed service=%s node=%s attempt=%d error=%s",
                            push.svc.name, push.svc.nodes[i], push.attempts[i], error)
             if retryable and push.attempts[i] < push.svc.retry.max_attempts:

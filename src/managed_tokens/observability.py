@@ -1,13 +1,16 @@
-"""Run metrics, span records, and structured logging.
+"""How a run becomes telemetry, and structured logging.
 
-The process is batch-scheduled, so metrics are *pushed* (text exposition
-format, HTTP PUT to a pushgateway-compatible endpoint) rather than exposed
-for scraping. A PUT replaces every series of its group, so token push
-(:data:`PUSH_JOB`) and UID refresh (:data:`REFRESH_JOB`) push under their
-own job names, and a token push of selected services adds a ``selection``
-grouping label. Spans go to a JSON-lines file by default, or to an HTTP
-collector endpoint. Neither ever fails the run: both HTTP sends go through
-one helper that logs a failure and reports it to the caller as False.
+Each run makes one call here, :func:`emit_run` after a token push or
+:func:`emit_refresh` after a UID refresh, and this module alone names the
+metrics and builds the spans. The process is batch-scheduled, so metrics
+are *pushed* (text exposition format, HTTP PUT to a pushgateway-compatible
+endpoint) rather than exposed for scraping. A PUT replaces every series of
+its group, so token push (:data:`PUSH_JOB`) and UID refresh
+(:data:`REFRESH_JOB`) push under their own job names, and a token push of
+selected services adds a ``selection`` grouping label. A token push's one
+trace goes to a JSON-lines file, or to an HTTP collector endpoint. Neither
+ever fails the run: both HTTP sends go through one helper that logs a
+failure and reports it to the caller as False.
 """
 
 from __future__ import annotations
@@ -20,13 +23,15 @@ import sys
 import time
 import urllib.parse
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from .interfaces import HttpAdapter, TransportError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .config import GlobalConfig
     from .orchestrator import RunReport
+    from .registry import RefreshReport
 
 logger = logging.getLogger(__name__)
 
@@ -159,51 +164,37 @@ class SpanRecord:
     start: float
     end: float
     status: str  # ok | error
-    attributes: Mapping[str, str] = field(default_factory=dict)
+    attributes: Mapping[str, str]
 
 
-def new_trace_id() -> str:
-    return uuid.uuid4().hex
-
-
-def new_span_id() -> str:
-    return uuid.uuid4().hex[:16]
-
-
-def record_span(
-    name: str,
-    parent: Optional[SpanRecord],
-    start: float,
-    end: float,
-    status: str = "ok",
-    attributes: Optional[Mapping[str, str]] = None,
-) -> SpanRecord:
-    """Build one immutable span; ids are inherited from the parent's trace."""
-    return SpanRecord(
-        trace_id=parent.trace_id if parent else new_trace_id(),
-        span_id=new_span_id(),
-        parent_id=parent.span_id if parent else None,
-        name=name,
-        start=start,
-        end=end,
-        status=status,
-        attributes=dict(attributes or {}),
-    )
+def report_to_spans(report: "RunReport") -> list[SpanRecord]:
+    """One ``token-push`` root span for the run plus one ``{service}/{stage}``
+    child per stage result, all in one new trace."""
+    root = SpanRecord(uuid.uuid4().hex, uuid.uuid4().hex[:16], None, "token-push",
+                      report.started, report.ended, "ok" if report.ok else "error",
+                      {"run_id": report.run_id})
+    spans = [root]
+    for service in sorted(report.per_service):
+        for r in report.per_service[service]:
+            attributes = {"service": service, "stage": r.stage}
+            if r.detail:
+                attributes["detail"] = r.detail
+            spans.append(SpanRecord(root.trace_id, uuid.uuid4().hex[:16], root.span_id,
+                                    f"{service}/{r.stage}", r.started, r.ended,
+                                    "ok" if r.success else "error", attributes))
+    return spans
 
 
 def export_spans(
     records: Iterable[SpanRecord],
     destination: str,
-    http: Optional[HttpAdapter] = None,
+    http: HttpAdapter,
     timeout: float = 10.0,
 ) -> bool:
     """Write spans to a JSON-lines file, or POST them to an HTTP collector
     when the destination is a URL. Non-fatal, like all telemetry."""
     payload = [asdict(r) for r in records]
     if destination.startswith(("http://", "https://")):
-        if http is None:
-            logger.error("span export to %s requires an HTTP adapter", destination)
-            return False
         return _send(http, "POST", destination, "application/json",
                      json.dumps({"spans": payload}), timeout, "span export")
     try:
@@ -217,6 +208,30 @@ def export_spans(
         logger.error("span export failed path=%s error=%s", destination, exc)
         return False
     return True
+
+
+# -- one call per run ----------------------------------------------------------
+
+
+def emit_run(report: "RunReport", config: "GlobalConfig", http: HttpAdapter,
+             grouping: Optional[Mapping[str, str]] = None) -> None:
+    """Push a token push's metrics and export its spans, each when configured."""
+    if config.metrics_gateway_url:
+        push_metrics(render_exposition(report_to_metrics(report)),
+                     config.metrics_gateway_url, PUSH_JOB, http, grouping=grouping)
+    if config.trace_export:
+        export_spans(report_to_spans(report), config.trace_export, http)
+
+
+def emit_refresh(report: "RefreshReport", config: "GlobalConfig", http: HttpAdapter,
+                 now: float) -> None:
+    """Push a UID refresh's metrics when a gateway is configured."""
+    if config.metrics_gateway_url:
+        push_metrics(render_exposition([
+            gauge(METRIC_PREFIX + "last_refresh_timestamp_seconds", {}, now),
+            counter(METRIC_PREFIX + "uid_refresh_success_total", {}, report.ok),
+            counter(METRIC_PREFIX + "uid_refresh_failure_total", {}, report.failed),
+        ]), config.metrics_gateway_url, REFRESH_JOB, http)
 
 
 # -- logging -------------------------------------------------------------------

@@ -18,11 +18,13 @@ the caller's thread uses the state store. Once every stage has finished,
 the UIDs fetched this run and every settled node's failure counter are saved
 in one store transaction; notifications then read the counters it wrote and
 the stage results and push outcomes that the returned :class:`RunReport`
-holds. Metrics and spans are emitted at the end and never fail the run.
+holds. Then one :func:`~.observability.emit_run` call pushes the run's
+metrics and exports its spans; telemetry never fails the run.
 
 Both runs, token push and UID refresh, open the state store the same way
-(an unusable store is a :class:`FatalSetupError`) and push their metrics
-the same way, each under its own job name. Times come from the bundle's
+(an unusable store is a :class:`FatalSetupError`), and each ends with one
+call into :mod:`~.observability`, which pushes its metrics under its own job
+name. Times come from the bundle's
 wall clock, which may step back; a result never ends before it started.
 """
 
@@ -295,8 +297,8 @@ def run_token_push(
     logger.info("run finished run_id=%s ok=%s notifications=%d",
                 run_id, report.ok, report.notifications_sent)
     # A selection run gets its own group, so it does not wipe a full run's series.
-    _emit_run_telemetry(report, config, deps,
-                        {"selection": "+".join(names)} if selection else None)
+    observability.emit_run(report, config, deps.metrics_http,
+                           {"selection": "+".join(names)} if selection else None)
     return report
 
 
@@ -305,45 +307,6 @@ def _open_store(config: GlobalConfig) -> Store:
         return open_store(config.state_dir)
     except (StoreError, OSError) as exc:
         raise FatalSetupError(f"state store unusable: {exc}") from exc
-
-
-def _push_metrics(config: GlobalConfig, deps: AdapterBundle, job: str,
-                  samples: list[observability.MetricSample],
-                  grouping: Optional[Mapping[str, str]] = None) -> None:
-    if config.metrics_gateway_url:
-        observability.push_metrics(observability.render_exposition(samples),
-                                   config.metrics_gateway_url, job, deps.metrics_http,
-                                   grouping=grouping)
-
-
-def _emit_run_telemetry(report: RunReport, config: GlobalConfig, deps: AdapterBundle,
-                        grouping: Optional[Mapping[str, str]]) -> None:
-    _push_metrics(config, deps, observability.PUSH_JOB,
-                  observability.report_to_metrics(report), grouping)
-    if config.trace_export:
-        observability.export_spans(build_spans(report), config.trace_export,
-                                   http=deps.metrics_http)
-
-
-def build_spans(report: RunReport) -> list[observability.SpanRecord]:
-    """One root span for the run plus one child span per stage result."""
-    root = observability.record_span(
-        "token-push", None, report.started, report.ended,
-        status="ok" if report.ok else "error",
-        attributes={"run_id": report.run_id},
-    )
-    spans = [root]
-    for service in sorted(report.per_service):
-        for result in report.per_service[service]:
-            attributes = {"service": service, "stage": result.stage}
-            if result.detail:
-                attributes["detail"] = result.detail
-            spans.append(observability.record_span(
-                f"{service}/{result.stage}", root, result.started, result.ended,
-                status="ok" if result.success else "error",
-                attributes=attributes,
-            ))
-    return spans
 
 
 def run_uid_refresh(config: GlobalConfig, deps: AdapterBundle) -> RefreshReport:
@@ -357,10 +320,5 @@ def run_uid_refresh(config: GlobalConfig, deps: AdapterBundle) -> RefreshReport:
     finally:
         store.close()
     logger.info("uid refresh finished ok=%d failed=%d", report.ok, report.failed)
-    prefix = observability.METRIC_PREFIX
-    _push_metrics(config, deps, observability.REFRESH_JOB, [
-        observability.gauge(prefix + "last_refresh_timestamp_seconds", {}, deps.clock.now()),
-        observability.counter(prefix + "uid_refresh_success_total", {}, report.ok),
-        observability.counter(prefix + "uid_refresh_failure_total", {}, report.failed),
-    ])
+    observability.emit_refresh(report, config, deps.metrics_http, deps.clock.now())
     return report

@@ -170,6 +170,8 @@ def load_fault_schedules(path: str) -> dict[str, FaultSchedule]:
         raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if not isinstance(raw, Mapping):
         raise ConfigError(f"{path}: top level must be a mapping")
     schedules: dict[str, FaultSchedule] = {}

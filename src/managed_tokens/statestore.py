@@ -76,11 +76,11 @@ class Store:
             raise LockHeld(f"state store at {db_dir} is locked by another process") from None
 
         self._db_path = os.path.join(db_dir, DB_FILENAME)
-        # Pre-create with owner-only mode so sqlite's journal/WAL side files
-        # inherit it instead of the umask default.
-        fd = os.open(self._db_path, os.O_RDWR | os.O_CREAT, 0o600)
-        os.close(fd)
         try:
+            # Pre-create with owner-only mode so sqlite's journal/WAL side files
+            # inherit it instead of the umask default.
+            fd = os.open(self._db_path, os.O_RDWR | os.O_CREAT, 0o600)
+            os.close(fd)
             self._conn = sqlite3.connect(self._db_path, isolation_level=None)
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute(
@@ -101,13 +101,15 @@ class Store:
             columns = [row[1] for row in self._conn.execute("PRAGMA table_info(failure_counters)")]
             if "last_attempt_at" in columns:
                 self._conn.execute("ALTER TABLE failure_counters DROP COLUMN last_attempt_at")
-        except sqlite3.DatabaseError as exc:
-            self.close()
-            raise CorruptStore(
-                f"state database {self._db_path} is unreadable ({exc}); move it aside "
-                "and rerun the UID refresh to rebuild"
-            ) from exc
-        os.chmod(self._db_path, 0o600)
+            os.chmod(self._db_path, 0o600)
+        except BaseException as exc:
+            self.close()  # whatever failed, the lock is released
+            if isinstance(exc, sqlite3.DatabaseError):
+                raise CorruptStore(
+                    f"state database {self._db_path} is unreadable ({exc}); move it aside "
+                    "and rerun the UID refresh to rebuild"
+                ) from exc
+            raise
 
     # -- lifecycle ---------------------------------------------------------
 

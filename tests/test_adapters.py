@@ -68,6 +68,10 @@ class TestRealCommandRunner:
         """))
         assert (inv.exit_code, inv.stdout, inv.stderr) == (3, "to stdout\n", "to stderr\n")
 
+    def test_output_that_is_not_text_does_not_fail_the_command(self):
+        inv = RealCommandRunner().run(["sh", "-c", r"printf 'caf\351' >&2; exit 0"])
+        assert (inv.exit_code, inv.stderr) == (0, "caf\ufffd")
+
     def test_env_overrides_merge_over_the_parents(self, monkeypatch):
         monkeypatch.setenv("MT_FROM_PARENT", "parent")
         monkeypatch.setenv("MT_OVERRIDDEN", "parent")

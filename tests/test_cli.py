@@ -251,16 +251,25 @@ class TestTokenPush:
         pytest.param("storer: [succeed]", "must be a mapping", id="entry-list"),
         pytest.param("- storer", "top level must be a mapping", id="top-level-list"),
         pytest.param("storer: {pattern: [succeed]", "malformed YAML", id="malformed-yaml"),
+        pytest.param("# r\xe9sum\xe9\nstorer: {pattern: [succeed]}", "not UTF-8 text",
+                     id="not-utf8"),
     ])
     def test_malformed_fault_schedules_are_a_setup_failure(self, sim_site, capsys, text,
                                                            problem):
         path = sim_site.root / "faults.yaml"
-        path.write_text(text + "\n")
+        path.write_bytes((text + "\n").encode("latin-1"))
         config = sim_config(sim_site, simulation={"fault_schedules": str(path)})
         assert main_token_push(["--config", config]) == EXIT_SETUP
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert problem in err
+
+    def test_config_that_is_not_utf8_is_a_setup_failure(self, sim_site, capsys):
+        config = sim_config(sim_site)
+        with open(config, "ab") as fh:
+            fh.write("# r\xe9sum\xe9\n".encode("latin-1"))
+        assert main_token_push(["--config", config]) == EXIT_SETUP
+        assert capsys.readouterr().err.startswith(f"error: {config}: not UTF-8 text: ")
 
     def test_locked_state_dir_is_a_setup_failure(self, sim_site, capsys):
         config = sim_config(sim_site)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+from pathlib import Path
 
 import pytest
 import yaml
@@ -24,6 +25,8 @@ from managed_tokens.config import (
     parse_duration,
     resolve_service,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestDefaults:
@@ -883,3 +886,17 @@ class TestTemplatePlaceholders:
         rendered = dict(word.split("=", 1) for word in storer[1:])
         stem = f"/{rendered['account']}/{rendered['issuer']}/{rendered['role']}"
         assert distribution.compute_destinations(svc, 4521) == (stem + "/user", stem + "/role")
+
+
+class TestReadmeExample:
+    def test_configuration_example_loads_and_resolves(self, monkeypatch):
+        for name in (ENV_STATE_DIR, ENV_METRICS_GATEWAY_URL):
+            monkeypatch.delenv(name, raising=False)
+        section = README.read_text().split("\n## Configuration\n", 1)[1]
+        example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg = load_config_text(example)
+        resolved = [resolve_service(cfg, name) for name in cfg.services]
+        assert [svc.name for svc in resolved] == ["dune_production"]
+        (svc,) = resolved
+        assert (svc.retry.max_attempts, svc.transfer_parallelism,
+                svc.token_prefix_check) == (5, 2, True)

@@ -1,4 +1,4 @@
-"""Metric rendering/pushing, span records, and logging setup."""
+"""Metric rendering/pushing, span building and export, and logging setup."""
 
 from __future__ import annotations
 
@@ -18,12 +18,10 @@ from managed_tokens.observability import (
     counter,
     export_spans,
     gauge,
-    new_span_id,
-    new_trace_id,
     push_metrics,
-    record_span,
     render_exposition,
     report_to_metrics,
+    report_to_spans,
     setup_logging,
 )
 from managed_tokens.orchestrator import RunReport, StageResult
@@ -210,63 +208,65 @@ class TestPushMetrics:
         assert gw.requests == []
 
 
+def spans_of(*results):
+    """The spans of a run whose stage results are ``results``."""
+    per_service = collections.defaultdict(list)
+    for r in results:
+        per_service[r.service].append(r)
+    return report_to_spans(make_report(per_service))
+
+
 class TestSpans:
     def test_root_and_child(self):
-        root = record_span("run", None, 0.0, 10.0)
-        child = record_span("svc/ticket", root, 1.0, 2.0, status="error",
-                            attributes={"service": "svc"})
-        assert root.parent_id is None
+        root, child = spans_of(result("svc", "ticket", success=False, started=1.0, ended=2.0))
+        assert (root.name, root.parent_id, root.status) == ("token-push", None, "error")
+        assert root.attributes == {"run_id": "r1"}
+        assert (child.name, child.status) == ("svc/ticket", "error")
         assert child.trace_id == root.trace_id
         assert child.parent_id == root.span_id
         assert child.span_id != root.span_id
-        assert child.attributes == {"service": "svc"}
+        assert child.attributes == {"service": "svc", "stage": "ticket", "detail": "boom"}
 
     def test_id_shapes(self):
-        assert len(new_trace_id()) == 32
-        assert len(new_span_id()) == 16
-        assert new_trace_id() != new_trace_id()
+        (a,), (b,) = spans_of(), spans_of()
+        assert len(a.trace_id) == 32
+        assert len(a.span_id) == 16
+        assert a.trace_id != b.trace_id
 
     def test_file_export_round_trip(self, tmp_path):
-        root = record_span("run", None, 0.0, 10.0)
-        children = [record_span(f"s{i}", root, float(i), float(i + 1))
-                    for i in range(3)]
+        spans = spans_of(*(result(f"s{i}", "ticket", started=float(i), ended=float(i + 1))
+                           for i in range(3)))
         path = tmp_path / "deep" / "spans.jsonl"
-        assert export_spans([root, *children], str(path))
+        assert export_spans(spans, str(path), simkit.RecordingGateway())
         loaded = load_spans(str(path))
-        assert loaded == [root, *children]
+        assert loaded == spans
 
     def test_file_export_appends(self, tmp_path):
         path = tmp_path / "spans.jsonl"
-        a = record_span("a", None, 0.0, 1.0)
-        b = record_span("b", None, 0.0, 1.0)
-        export_spans([a], str(path))
-        export_spans([b], str(path))
-        assert [s.name for s in load_spans(str(path))] == ["a", "b"]
+        gw = simkit.RecordingGateway()
+        export_spans(spans_of(result("a", "ticket")), str(path), gw)
+        export_spans(spans_of(result("b", "ticket")), str(path), gw)
+        assert [s.name for s in load_spans(str(path))] == [
+            "token-push", "a/ticket", "token-push", "b/ticket"]
+        assert gw.requests == []
 
     def test_http_export(self):
         gw = simkit.RecordingGateway()
-        spans = [record_span("run", None, 0.0, 1.0)]
-        assert export_spans(spans, "http://collector.example.org/v1/spans",
-                            http=gw)
+        assert export_spans(spans_of(), "http://collector.example.org/v1/spans", gw)
         ((method, path, body),) = gw.requests
         assert method == "POST"
         assert path == "/v1/spans"
-        assert '"spans"' in body and '"run"' in body
-
-    def test_http_export_without_adapter_fails_softly(self):
-        assert export_spans([record_span("r", None, 0, 1)],
-                            "http://collector.example.org") is False
+        assert '"spans"' in body and '"token-push"' in body
 
     def test_http_export_unreachable_is_nonfatal(self):
         gw = simkit.RecordingGateway(unreachable=True)
-        assert export_spans([record_span("r", None, 0, 1)],
-                            "http://collector.example.org", http=gw) is False
+        assert export_spans(spans_of(), "http://collector.example.org", gw) is False
 
     def test_unwritable_path_is_nonfatal(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
         dest = blocker / "spans.jsonl"
-        assert export_spans([record_span("r", None, 0, 1)], str(dest)) is False
+        assert export_spans(spans_of(), str(dest), simkit.RecordingGateway()) is False
 
 
 class TestSetupLogging:

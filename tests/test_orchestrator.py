@@ -13,11 +13,11 @@ import pytest
 
 from managed_tokens import orchestrator, simkit, statestore
 from managed_tokens.config import UnknownService
+from managed_tokens.observability import report_to_spans
 from managed_tokens.orchestrator import (
     FatalSetupError,
     RunReport,
     StageResult,
-    build_spans,
     order_services,
     run_token_push,
     run_uid_refresh,
@@ -292,6 +292,20 @@ class TestFailureIsolation:
                                      "submit2.example.org").consecutive_failures == 1
             assert store.get_counter("dune_production",
                                      "submit1.example.org").consecutive_failures == 0
+
+    def test_multi_line_transfer_error_is_one_line(self, site):
+        site.add_service("dune_production", overrides={"retry.max_attempts": 1})
+        cfg = site.config()
+        site.seed_uids(site.uid_map())
+        faults = {node: simkit.FaultSchedule("t", (simkit.fail("line one\nline two"),))
+                  for node in ("submit1.example.org", "submit2.example.org")}
+        bundle = make_bundle(transfer_faults=faults)
+        report = run_token_push(cfg, bundle)
+        assert [o.error for o in report.push_outcomes] == ["line one line two"] * 2
+        (summary,) = bundle.sink.messages
+        assert [line for line in summary.body.splitlines() if "line" in line] == [
+            "  - [push] node=submit1.example.org line one line two",
+            "  - [push] node=submit2.example.org line one line two"]
 
     def test_prefix_check_fails_vault_store_before_any_put(self, site):
         site.add_service("dune_production")
@@ -1038,7 +1052,7 @@ class TestBuildSpans:
                          per_service={"a": results})
 
     def test_structure(self):
-        spans = build_spans(self.make_report())
+        spans = report_to_spans(self.make_report())
         assert len(spans) == 4
         root = spans[0]
         assert root.parent_id is None and root.status == "ok"
@@ -1050,7 +1064,7 @@ class TestBuildSpans:
             assert root.start <= span.start <= span.end <= root.end
 
     def test_failure_marks_root_and_stage(self):
-        spans = build_spans(self.make_report(ok=False))
+        spans = report_to_spans(self.make_report(ok=False))
         assert spans[0].status == "error"
         assert spans[-1].status == "error"
         assert spans[-1].attributes["detail"] == "failed nodes: n"

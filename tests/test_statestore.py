@@ -155,6 +155,21 @@ class TestCorruption:
             open_store(str(tmp_path))
         assert fds_on_database() == before
 
+    def test_failed_open_releases_the_lock(self, tmp_path):
+        db_dir = tmp_path / "db"
+        db_dir.mkdir(mode=0o700)
+        (db_dir / "managed-tokens.sqlite").mkdir()
+        lock_path = os.path.realpath(db_dir / "writer.lock")
+
+        def fds_on_lock():
+            return sum(os.path.realpath(f"/proc/self/fd/{fd}") == lock_path
+                       for fd in os.listdir("/proc/self/fd"))
+
+        for _ in range(2):  # the second open meets the same fault, not a held lock
+            with pytest.raises(IsADirectoryError):
+                open_store(str(tmp_path))
+            assert fds_on_lock() == 0
+
 
 class TestPermissions:
     def test_owner_only_modes(self, tmp_path):
